@@ -183,8 +183,7 @@ class Box:
 class WorldState:
     """Sparse voxel world plus pending tick events.
 
-    A WorldState is a value: operations take a world and return a new one,
-    so worlds can move freely between workers with no shared state.
+    A WorldState is a value: operations take a world and return a new one.
     """
 
     blocks: dict[Vec3, Block] = field(default_factory=dict)
@@ -195,16 +194,6 @@ class WorldState:
 
     def copy(self) -> "WorldState":
         return WorldState(dict(self.blocks), self.tick, list(self.events), list(self.pulses), self.next_seq)
-
-    def translated(self, offset: Vec3) -> "WorldState":
-        """The same world with every position (blocks, events, pulses) shifted."""
-        return WorldState(
-            {add(p, offset): b for p, b in self.blocks.items()},
-            self.tick,
-            [e._replace(pos=add(e.pos, offset)) for e in self.events],
-            [p._replace(cell=add(p.cell, offset)) for p in self.pulses],
-            self.next_seq,
-        )
 
 
 SPAWN_BOX_SIZE = 3

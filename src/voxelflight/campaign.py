@@ -61,7 +61,6 @@ class ExperimentConfig:
     budget: SearchBudget = field(default_factory=SearchBudget)
     log_interval: int = 100
     emulate_observer_bug: bool = True
-    workers: int = 1
     out_dir: str = "out"
 
     def __post_init__(self):
@@ -69,8 +68,6 @@ class ExperimentConfig:
             raise ConfigError("runs must be >= 1")
         if self.log_interval < 1:
             raise ConfigError("log_interval must be >= 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
 
     def decode_config(self) -> DecodeConfig:
         return DecodeConfig(block_set=self.block_set)
@@ -159,22 +156,18 @@ def run_single(cfg: ExperimentConfig, seed: int, run_dir: Optional[str] = None) 
     fit_cfg = cfg.fitness_config()
     if cfg.method is Method.PF:
         population, log = mu_plus_lambda_run(
-            cfg.budget, decode_cfg, tick_cfg, fit_cfg, seed,
-            workers=cfg.workers, log_interval=cfg.log_interval,
+            cfg.budget, decode_cfg, tick_cfg, fit_cfg, seed, log_interval=cfg.log_interval,
         )
         best = max(ind.fitness for ind in population)
-        evaluations = cfg.budget.mu + cfg.budget.lam * cfg.budget.generations
         if run_dir is not None:
             os.makedirs(run_dir, exist_ok=True)
             save_population(population, os.path.join(run_dir, "population.txt"))
     else:
         layout = ArchiveLayout(cfg.method.characterization)
         archive, log = map_elites_run(
-            cfg.budget, layout, decode_cfg, tick_cfg, fit_cfg, seed,
-            workers=cfg.workers, log_interval=cfg.log_interval,
+            cfg.budget, layout, decode_cfg, tick_cfg, fit_cfg, seed, log_interval=cfg.log_interval,
         )
         best = archive.best_fitness
-        evaluations = archive.evaluations
         if run_dir is not None:
             os.makedirs(run_dir, exist_ok=True)
             save_archive(archive, os.path.join(run_dir, "archive"), cfg, seed)
@@ -183,7 +176,7 @@ def run_single(cfg: ExperimentConfig, seed: int, run_dir: Optional[str] = None) 
             fh.write(log.to_csv())
     first = min(log.first_flights.values()) if log.first_flights else None
     directions = tuple(sorted(o.name for o in log.first_flights))
-    outcome = RunOutcome(seed, bool(log.first_flights), first, directions, best, evaluations)
+    outcome = RunOutcome(seed, bool(log.first_flights), first, directions, best, log.evaluations)
     return outcome, log
 
 
@@ -250,21 +243,23 @@ def write_summary(summary: CampaignSummary, out_dir: str) -> None:
 
 
 def describe_config(cfg: ExperimentConfig) -> str:
+    """The settings of a campaign in the CLI's config file format, so that
+    `run --config` with this text repeats the campaign (the output directory
+    is left to `--out`)."""
     b = cfg.budget
     lines = [
         f"method = {cfg.method.value}",
         f"block_set = {cfg.block_set.value}",
         f"runs = {cfg.runs}",
-        f"seed_base = {cfg.seed_base}",
+        f"seed = {cfg.seed_base}",
         f"init_samples = {b.init_samples}",
-        f"offspring = {b.offspring}",
+        f"evals = {b.offspring}",
         f"mu = {b.mu}",
-        f"lambda = {b.lam}",
+        f"lam = {b.lam}",
         f"generations = {b.generations}",
         f"crossover_prob = {b.crossover_prob!r}",
         f"log_interval = {cfg.log_interval}",
         f"emulate_observer_bug = {str(cfg.emulate_observer_bug).lower()}",
-        f"workers = {cfg.workers}",
     ]
     return "\n".join(lines) + "\n"
 

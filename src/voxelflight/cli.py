@@ -58,9 +58,8 @@ _CONFIG_KEYS = {
     "generations": int,
     "crossover_prob": float,
     "seed": int,
-    "threads": int,
     "log_interval": int,
-    "observer_bug": lambda s: s.lower() in ("1", "true", "yes", "on"),
+    "emulate_observer_bug": lambda s: s.lower() in ("1", "true", "yes", "on"),
     "out": str,
 }
 
@@ -81,9 +80,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--generations", type=int)
     run.add_argument("--crossover-prob", type=float, dest="crossover_prob")
     run.add_argument("--seed", type=int)
-    run.add_argument("--threads", type=int)
     run.add_argument("--log-interval", type=int, dest="log_interval")
-    run.add_argument("--no-observer-bug", action="store_false", dest="observer_bug", default=None)
+    run.add_argument("--no-observer-bug", action="store_false", dest="emulate_observer_bug", default=None)
     run.add_argument("--out")
 
     report = sub.add_parser("report", help="summarize a campaign directory (or compare its subdirectories)")
@@ -95,12 +93,12 @@ def _build_parser() -> argparse.ArgumentParser:
     export.add_argument("--out", required=True)
     export.add_argument("--method", choices=[m.value for m in Method], default=Method.ME_PO.value)
     export.add_argument("--block-set", choices=[b.value for b in BlockSet], dest="block_set", default=BlockSet.OBSERVER.value)
-    export.add_argument("--no-observer-bug", action="store_false", dest="observer_bug", default=True)
+    export.add_argument("--no-observer-bug", action="store_false", dest="emulate_observer_bug", default=True)
 
     replay = sub.add_parser("replay", help="re-evaluate a serialized genome")
     replay.add_argument("--genome", required=True, help="file holding one genome line")
     replay.add_argument("--block-set", choices=[b.value for b in BlockSet], dest="block_set", default=BlockSet.OBSERVER.value)
-    replay.add_argument("--no-observer-bug", action="store_false", dest="observer_bug", default=True)
+    replay.add_argument("--no-observer-bug", action="store_false", dest="emulate_observer_bug", default=True)
     return parser
 
 
@@ -117,9 +115,8 @@ def _resolved(args: argparse.Namespace) -> dict:
         "generations": None,
         "crossover_prob": 0.5,
         "seed": 0,
-        "threads": 1,
         "log_interval": 100,
-        "observer_bug": True,
+        "emulate_observer_bug": True,
         "out": "out",
     }
     if getattr(args, "config", None):
@@ -155,8 +152,7 @@ def _experiment_config(values: dict) -> ExperimentConfig:
         seed_base=values["seed"],
         budget=budget,
         log_interval=values["log_interval"],
-        emulate_observer_bug=values["observer_bug"],
-        workers=values["threads"],
+        emulate_observer_bug=values["emulate_observer_bug"],
         out_dir=values["out"],
     )
 
@@ -224,7 +220,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
         method=Method(args.method),
         block_set=BlockSet(args.block_set),
         runs=1,
-        emulate_observer_bug=args.observer_bug,
+        emulate_observer_bug=args.emulate_observer_bug,
     )
     export_shape_file(cfg, os.path.join(args.in_dir, "archive"), args.bin, args.out)
     print(f"wrote {args.out}")
@@ -235,7 +231,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     with open(args.genome) as fh:
         genome = genome_from_line(fh.read())
     decode_cfg = DecodeConfig(block_set=BlockSet(args.block_set))
-    tick_cfg = TickConfig(emulate_observer_bug=args.observer_bug)
+    tick_cfg = TickConfig(emulate_observer_bug=args.emulate_observer_bug)
     result = evaluate(genome, decode_cfg, tick_cfg, FitnessConfig())
     print("fitness,flew,direction,leftover_count,ticks_used")
     print(result.csv_row())

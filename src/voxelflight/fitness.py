@@ -41,7 +41,6 @@ class FitnessConfig:
     eval_seconds: int = 10
     spawn_size: int = 3
     watch_size: int = 9
-    clear_size: int = 43
 
     def __post_init__(self):
         # The worst-case flying score must still beat any oscillation score a

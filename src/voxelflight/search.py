@@ -1,17 +1,17 @@
 """The two optimizers: MAP-Elites with probabilistic crossover, and a pure
 fitness (mu+lambda) baseline with binary tournament selection.
 
-Both are reproducible byte-for-byte from (seed, budget, configs). Candidate
-variation consumes the run's random generator strictly sequentially; emission
-happens in fixed-size batches whose evaluations are pure, so results do not
-depend on the worker count used to evaluate a batch.
+Both run one ask/tell loop: the method's emitter asks for a batch of
+genomes, the loop evaluates them serially in order, and the method's tell
+keeps what it wants of each result. Both are reproducible byte-for-byte from
+(seed, budget, configs): variation consumes the run's random generator
+strictly sequentially, and evaluation consumes none of it.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -21,8 +21,8 @@ from .fitness import EvaluationResult, FitnessConfig, evaluate
 from .genome import DecodeConfig, Genome, crossover, decode, polynomial_mutate, random_genome
 from .sim import TickConfig
 
-# Candidates are produced in batches of this size regardless of worker count,
-# so parents within a batch all see the archive as of the batch start.
+# MAP-Elites emits offspring in batches of this size; parents within a batch
+# all come from the archive as of the batch start.
 EVAL_BATCH = 10
 
 MUTATION_RATE = 0.3
@@ -95,7 +95,8 @@ LOG_COLUMNS = (
 
 @dataclass
 class RunLog:
-    """Snapshot rows taken every `log_interval` evaluations.
+    """Snapshot rows taken every `log_interval` evaluations, plus the total
+    number of evaluations recorded.
 
     First-flight columns hold the exact evaluation number that first flew in
     that direction, or 0 while none has.
@@ -104,11 +105,15 @@ class RunLog:
     rows: list[tuple] = field(default_factory=list)
     first_flights: dict[Orientation, int] = field(default_factory=dict)
     flights: int = 0
+    evaluations: int = 0
 
-    def record_result(self, eval_number: int, result: EvaluationResult) -> None:
+    def record_result(self, result: EvaluationResult) -> int:
+        """Count one evaluation and its flight, if any; return its evaluation number."""
+        self.evaluations += 1
         if result.flew:
             self.flights += 1
-            self.first_flights.setdefault(result.direction, eval_number)
+            self.first_flights.setdefault(result.direction, self.evaluations)
+        return self.evaluations
 
     def snapshot(self, eval_number: int, occupied: int, best: float) -> None:
         firsts = tuple(self.first_flights.get(o, 0) for o in Orientation)
@@ -121,21 +126,31 @@ class RunLog:
         return "\n".join(lines) + "\n"
 
 
-class NoOccupiedBins(RuntimeError):
-    """Initialization inserted nothing; impossible since every shape has a descriptor."""
-
-
-def _evaluate_batch(
-    genomes: list[Genome],
+def _search(
+    batches: Iterable[list[Genome]],
+    tell: Callable[[int, Genome, EvaluationResult], None],
+    stats: Callable[[], tuple[int, float]],
     decode_cfg: DecodeConfig,
     tick_cfg: TickConfig,
     fit_cfg: FitnessConfig,
-    workers: int,
-) -> list[EvaluationResult]:
-    if workers <= 1 or len(genomes) <= 1:
-        return [evaluate(g, decode_cfg, tick_cfg, fit_cfg) for g in genomes]
-    with ThreadPoolExecutor(max_workers=min(workers, len(genomes))) as pool:
-        return list(pool.map(lambda g: evaluate(g, decode_cfg, tick_cfg, fit_cfg), genomes))
+    log_interval: int,
+) -> RunLog:
+    """Evaluate every genome of every batch in order and tell its result.
+
+    `batches` asks for the next batch only once the previous one has been
+    told, so the emitter sees all results so far. Every `log_interval`
+    evaluations the log takes a snapshot of `stats()` (occupied bins, best
+    fitness). The returned log carries the number of evaluations made.
+    """
+    log = RunLog()
+    for batch in batches:
+        for genome in batch:
+            result = evaluate(genome, decode_cfg, tick_cfg, fit_cfg)
+            eval_number = log.record_result(result)
+            tell(eval_number, genome, result)
+            if eval_number % log_interval == 0:
+                log.snapshot(eval_number, *stats())
+    return log
 
 
 def map_elites_run(
@@ -149,61 +164,39 @@ def map_elites_run(
     log_interval: int = 100,
     mutation_rate: float = MUTATION_RATE,
     mutation_eta: float = MUTATION_ETA,
-    on_evaluated: Optional[Callable[[int, EvaluationResult], None]] = None,
 ) -> tuple[Archive, RunLog]:
     """Illuminate the behavior space: one elite per bin, uniform bin sampling.
 
     Offspring are either a crossover of two uniformly sampled elites followed
     by mutation (probability `crossover_prob`) or a mutated clone of one
     elite. Initial samples count toward the evaluation total and the log.
+    `workers` is ignored: evaluation is serial.
     """
     rng = np.random.default_rng(seed)
     archive = Archive(layout)
-    log = RunLog()
 
-    def decode_bin(genome: Genome) -> int:
-        return layout.bin_index(layout.descriptor(decode(genome, decode_cfg)))
+    def ask() -> Iterator[list[Genome]]:
+        yield [random_genome(rng, decode_cfg.genome_length) for _ in range(budget.init_samples)]
+        for start in range(0, budget.offspring, EVAL_BATCH):
+            occupied = sorted(archive.bins)  # parents fixed before the batch's insertions
+            batch = []
+            for _ in range(min(EVAL_BATCH, budget.offspring - start)):
+                if rng.random() < budget.crossover_prob:
+                    first = archive.bins[occupied[rng.integers(len(occupied))]].genome
+                    second = archive.bins[occupied[rng.integers(len(occupied))]].genome
+                    child = crossover(first, second, rng)
+                else:
+                    child = archive.bins[occupied[rng.integers(len(occupied))]].genome.copy()
+                batch.append(polynomial_mutate(child, rng, mutation_rate, mutation_eta))
+            yield batch
 
-    def consume(batch: list[Genome]) -> None:
-        results = _evaluate_batch(batch, decode_cfg, tick_cfg, fit_cfg, workers)
-        for genome, result in zip(batch, results):
-            archive.evaluations += 1
-            archive.insert(decode_bin(genome), genome, result)
-            log.record_result(archive.evaluations, result)
-            if on_evaluated is not None:
-                on_evaluated(archive.evaluations, result)
-            if archive.evaluations % log_interval == 0:
-                log.snapshot(archive.evaluations, archive.occupied, archive.best_fitness)
+    def tell(eval_number: int, genome: Genome, result: EvaluationResult) -> None:
+        archive.evaluations = eval_number
+        archive.insert(layout.bin_index(layout.descriptor(decode(genome, decode_cfg))), genome, result)
 
-    pending: list[Genome] = []
-    for _ in range(budget.init_samples):
-        pending.append(random_genome(rng, decode_cfg.genome_length))
-        if len(pending) == EVAL_BATCH:
-            consume(pending)
-            pending = []
-    if pending:
-        consume(pending)
-        pending = []
-
-    if not archive.bins:
-        raise NoOccupiedBins("no bin was filled during initialization")
-
-    emitted = 0
-    while emitted < budget.offspring:
-        batch_size = min(EVAL_BATCH, budget.offspring - emitted)
-        occupied = sorted(archive.bins)  # parents fixed before the batch's insertions
-        batch = []
-        for _ in range(batch_size):
-            if rng.random() < budget.crossover_prob:
-                first = archive.bins[occupied[rng.integers(len(occupied))]].genome
-                second = archive.bins[occupied[rng.integers(len(occupied))]].genome
-                child = crossover(first, second, rng)
-            else:
-                child = archive.bins[occupied[rng.integers(len(occupied))]].genome.copy()
-            batch.append(polynomial_mutate(child, rng, mutation_rate, mutation_eta))
-        consume(batch)
-        emitted += batch_size
-
+    log = _search(
+        ask(), tell, lambda: (archive.occupied, archive.best_fitness), decode_cfg, tick_cfg, fit_cfg, log_interval,
+    )
     return archive, log
 
 
@@ -244,52 +237,40 @@ def mu_plus_lambda_run(
     log_interval: int = 100,
     mutation_rate: float = MUTATION_RATE,
     mutation_eta: float = MUTATION_ETA,
-    on_evaluated: Optional[Callable[[int, EvaluationResult], None]] = None,
 ) -> tuple[Population, RunLog]:
     """Elitist (mu+lambda) evolution on raw fitness.
 
     Each child takes its first parent from a binary tournament, with
     probability `crossover_prob` crosses it with a second independently
     selected parent, then mutates. Survivors are the best mu of parents plus
-    children, ties resolved oldest-first.
+    children, ties resolved oldest-first. `workers` is ignored: evaluation
+    is serial.
     """
     rng = np.random.default_rng(seed)
-    log = RunLog()
-    evaluations = 0
-    births = 0
-
-    def consume(batch: list[Genome], pool: Population) -> None:
-        nonlocal evaluations, births
-        results = _evaluate_batch(batch, decode_cfg, tick_cfg, fit_cfg, workers)
-        for genome, result in zip(batch, results):
-            evaluations += 1
-            pool.append(Individual(genome, result.fitness, result, births))
-            births += 1
-            log.record_result(evaluations, result)
-            if on_evaluated is not None:
-                on_evaluated(evaluations, result)
-            if evaluations % log_interval == 0:
-                best = max(ind.fitness for ind in pool)
-                log.snapshot(evaluations, budget.mu, best)
-
     population: Population = []
-    pending = [random_genome(rng, decode_cfg.genome_length) for _ in range(budget.mu)]
-    for start in range(0, len(pending), EVAL_BATCH):
-        consume(pending[start : start + EVAL_BATCH], population)
+    pool = population  # individuals told so far in this generation, parents first
 
-    for _generation in range(budget.generations):
-        children: list[Genome] = []
-        for _ in range(budget.lam):
-            parent = _tournament(population, rng)
-            if rng.random() < budget.crossover_prob:
-                partner = _tournament(population, rng)
-                child = crossover(parent.genome, partner.genome, rng)
-            else:
-                child = parent.genome.copy()
-            children.append(polynomial_mutate(child, rng, mutation_rate, mutation_eta))
-        combined = list(population)
-        for start in range(0, len(children), EVAL_BATCH):
-            consume(children[start : start + EVAL_BATCH], combined)
-        population = select_survivors(combined, budget.mu)
+    def ask() -> Iterator[list[Genome]]:
+        nonlocal population, pool
+        yield [random_genome(rng, decode_cfg.genome_length) for _ in range(budget.mu)]
+        for _generation in range(budget.generations):
+            children: list[Genome] = []
+            for _ in range(budget.lam):
+                parent = _tournament(population, rng)
+                if rng.random() < budget.crossover_prob:
+                    partner = _tournament(population, rng)
+                    child = crossover(parent.genome, partner.genome, rng)
+                else:
+                    child = parent.genome.copy()
+                children.append(polynomial_mutate(child, rng, mutation_rate, mutation_eta))
+            pool = list(population)
+            yield children
+            population = select_survivors(pool, budget.mu)
 
+    def tell(eval_number: int, genome: Genome, result: EvaluationResult) -> None:
+        pool.append(Individual(genome, result.fitness, result, eval_number - 1))
+
+    log = _search(
+        ask(), tell, lambda: (budget.mu, max(ind.fitness for ind in pool)), decode_cfg, tick_cfg, fit_cfg, log_interval,
+    )
     return population, log

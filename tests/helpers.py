@@ -1,7 +1,7 @@
 import numpy as np
 
-from voxelflight import DecodeConfig
-from voxelflight.blocks import ORIENTATION_ORDER
+from voxelflight import DecodeConfig, WorldState
+from voxelflight.blocks import ORIENTATION_ORDER, add
 
 
 def genome_for_shape(shape, cfg: DecodeConfig):
@@ -17,3 +17,14 @@ def genome_for_shape(shape, cfg: DecodeConfig):
             g[3 * i + 1] = (members.index(p.kind) + 0.5) / len(members)
             g[3 * i + 2] = (ORIENTATION_ORDER.index(p.orient) + 0.5) / 6
     return g
+
+
+def translated(world: WorldState, offset) -> WorldState:
+    """The same world with every position (blocks, events, pulses) shifted."""
+    return WorldState(
+        {add(p, offset): b for p, b in world.blocks.items()},
+        world.tick,
+        [e._replace(pos=add(e.pos, offset)) for e in world.events],
+        [p._replace(cell=add(p.cell, offset)) for p in world.pulses],
+        world.next_seq,
+    )

@@ -23,6 +23,7 @@ from voxelflight import (
 from voxelflight.campaign import (
     RunOutcome,
     round_up_to_interval,
+    run_single,
     save_archive,
     summarize,
 )
@@ -98,6 +99,22 @@ class TestCampaign:
         assert round_up_to_interval(401, 100) == 500
         assert round_up_to_interval(500, 100) == 500
         assert round_up_to_interval(1, 100) == 100
+
+    @pytest.mark.parametrize("method", [Method.ME_PO, Method.PF])
+    def test_outcome_counts_every_evaluation(self, method, monkeypatch):
+        import voxelflight.search as search
+
+        real_evaluate = search.evaluate
+        calls = []
+
+        def counting_evaluate(*args):
+            calls.append(1)
+            return real_evaluate(*args)
+
+        monkeypatch.setattr(search, "evaluate", counting_evaluate)
+        outcome, _log = run_single(tiny_config("unused", method=method), seed=3)
+        expected = TINY.mu + TINY.lam * TINY.generations if method is Method.PF else TINY.init_samples + TINY.offspring
+        assert outcome.evaluations == len(calls) == expected
 
     def test_summary_matches_log_recount(self, tmp_path):
         cfg = tiny_config(tmp_path / "c", runs=1)
@@ -208,6 +225,18 @@ class TestCli:
         assert not (tmp_path / "from_file").exists()
         text = (tmp_path / "cli_wins" / "config.txt").read_text()
         assert "method = me-c" in text  # file value survived where not overridden
+
+    @pytest.mark.parametrize("budget", [
+        ["--method", "me-po", "--init-samples", "10", "--evals", "25"],
+        ["--method", "pf", "--mu", "4", "--lambda", "3", "--generations", "5", "--crossover-prob", "0.25"],
+    ])
+    def test_config_echo_reruns_identically(self, tmp_path, budget):
+        first, again = tmp_path / "first", tmp_path / "again"
+        main(["run", "--runs", "2", "--seed", "4", "--log-interval", "5", "--no-observer-bug", "--out", str(first)] + budget)
+        main(["run", "--config", str(first / "config.txt"), "--out", str(again)])
+        outputs = tree_bytes(first)
+        assert {"summary.csv", "directions.csv", "first_flights.csv", os.path.join("runs", "run_001", "log.csv")} <= set(outputs)
+        assert tree_bytes(again) == outputs
 
     def test_config_file_parse_errors(self, tmp_path):
         bad = tmp_path / "bad.cfg"

@@ -20,6 +20,8 @@ from voxelflight import (
     step,
 )
 
+from helpers import translated
+
 K = BlockKind
 O = Orientation
 CFG = TickConfig()
@@ -250,11 +252,11 @@ class TestOscillatorFixture:
     def test_translation_equivariance(self):
         offset = (7, -3, 11)
         w1 = self.world
-        w2 = self.world.translated(offset)
+        w2 = translated(self.world, offset)
         for _ in range(15):
             w1, m1 = step(w1, CFG)
             w2, m2 = step(w2, CFG)
-            assert w2.blocks == w1.translated(offset).blocks
+            assert w2.blocks == translated(w1, offset).blocks
             assert m2 == {(p[0] + offset[0], p[1] + offset[1], p[2] + offset[2]) for p in m1}
 
     def test_determinism(self):
