@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 import os
+import shutil
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
 from .behavior import ArchiveLayout, Characterization
-from .blocks import BlockSet, Orientation, format_shape
+from .blocks import BlockSet, Orientation, write_shape_file
 from .fitness import FitnessConfig, evaluate
 from .genome import DecodeConfig, Genome, decode, genome_from_line, genome_to_line
 from .search import (
@@ -134,6 +135,17 @@ def save_archive(archive: Archive, path: str, cfg: ExperimentConfig, seed: int) 
         fh.write("\n".join(lines) + "\n")
 
 
+def load_manifest_config(path: str) -> ExperimentConfig:
+    """The method, block set and observer-bug setting an archive was made with."""
+    with open(os.path.join(path, "manifest.txt")) as fh:
+        values = dict(line.split(" = ", 1) for line in fh.read().splitlines() if " = " in line)
+    try:
+        bug = {"true": True, "false": False}[values["emulate_observer_bug"]]
+        return ExperimentConfig(method=Method(values["method"]), block_set=BlockSet(values["block_set"]), emulate_observer_bug=bug)
+    except KeyError as exc:
+        raise ValueError(f"{path}/manifest.txt: missing or bad setting {exc}") from None
+
+
 def load_archive_genome(path: str, bin_index: int) -> Genome:
     genome_path = os.path.join(path, "bins", f"{bin_index}.genome")
     if not os.path.exists(genome_path):
@@ -181,15 +193,17 @@ def run_single(cfg: ExperimentConfig, seed: int, run_dir: Optional[str] = None) 
 
 
 def run_campaign(cfg: ExperimentConfig) -> CampaignSummary:
-    """Execute `cfg.runs` independent runs and write the aggregated summary."""
+    """Execute `cfg.runs` independent runs, replacing any earlier `runs/`, and write the aggregated summary."""
     os.makedirs(cfg.out_dir, exist_ok=True)
+    runs_dir = os.path.join(cfg.out_dir, "runs")
+    if os.path.isdir(runs_dir):
+        shutil.rmtree(runs_dir)
     with open(os.path.join(cfg.out_dir, "config.txt"), "w") as fh:
         fh.write(describe_config(cfg))
 
     outcomes: list[RunOutcome] = []
     for i in range(cfg.runs):
-        run_dir = os.path.join(cfg.out_dir, "runs", _method_dir_name(i))
-        outcome, _log = run_single(cfg, cfg.seed_base + i, run_dir)
+        outcome, _log = run_single(cfg, cfg.seed_base + i, os.path.join(runs_dir, _method_dir_name(i)))
         outcomes.append(outcome)
 
     summary = summarize(cfg, outcomes)
@@ -277,5 +291,4 @@ def export_shape_file(cfg: ExperimentConfig, archive_dir: str, bin_index: int, o
         f"flew {str(result.flew).lower()}" + (f" direction {result.direction.name}" if result.direction else ""),
         f"descriptor {list(layout.descriptor(shape))}",
     ]
-    with open(out_path, "w") as fh:
-        fh.write(format_shape(shape, header))
+    write_shape_file(out_path, shape, header)

@@ -4,7 +4,7 @@ Subcommands:
     run     execute a campaign of search runs and write logs plus summaries
     report  print a campaign summary, or compare sibling campaigns with
             pairwise Fisher exact tests (Bonferroni-adjusted)
-    export  decode one stored archive occupant into the shape text format
+    export  decode one stored archive occupant (with its manifest's settings) into the shape text format
     replay  re-evaluate a serialized genome and print its result
 
 Any flag may also come from a config file of `key = value` lines (`#` starts
@@ -24,6 +24,7 @@ from .campaign import (
     ExperimentConfig,
     Method,
     export_shape_file,
+    load_manifest_config,
     run_campaign,
 )
 from .fitness import FitnessConfig, evaluate
@@ -91,9 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
     export.add_argument("--in", dest="in_dir", required=True, help="a single run directory (contains archive/)")
     export.add_argument("--bin", type=int, required=True)
     export.add_argument("--out", required=True)
-    export.add_argument("--method", choices=[m.value for m in Method], default=Method.ME_PO.value)
-    export.add_argument("--block-set", choices=[b.value for b in BlockSet], dest="block_set", default=BlockSet.OBSERVER.value)
-    export.add_argument("--no-observer-bug", action="store_false", dest="emulate_observer_bug", default=True)
 
     replay = sub.add_parser("replay", help="re-evaluate a serialized genome")
     replay.add_argument("--genome", required=True, help="file holding one genome line")
@@ -216,13 +214,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    cfg = ExperimentConfig(
-        method=Method(args.method),
-        block_set=BlockSet(args.block_set),
-        runs=1,
-        emulate_observer_bug=args.emulate_observer_bug,
-    )
-    export_shape_file(cfg, os.path.join(args.in_dir, "archive"), args.bin, args.out)
+    archive_dir = os.path.join(args.in_dir, "archive")
+    export_shape_file(load_manifest_config(archive_dir), archive_dir, args.bin, args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -253,5 +246,14 @@ def main(argv: list[str] | None = None) -> int:
     return handlers[args.command](args)
 
 
+def console_main(argv: list[str] | None = None) -> int:
+    """The `voxelflight` command: `main`, with bad input reported on one line and exit code 2."""
+    try:
+        return main(argv)
+    except (ValueError, OSError) as exc:
+        print(f"voxelflight: error: {exc}", file=sys.stderr)
+        return 2
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(console_main())

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import ClassVar, Optional
 
 from .blocks import (
     BlockPlacement,
     Box,
     Orientation,
     ORIENTATION_ORDER,
+    SPAWN_BOX_SIZE,
     Vec3,
     WorldState,
     center_of_mass,
@@ -35,34 +36,28 @@ class EmptyExitLog(ValueError):
 
 @dataclass(frozen=True)
 class FitnessConfig:
+    """Scoring settings. Everything but the flying reward is pinned."""
+
+    leftover_penalty: ClassVar[float] = 0.1
+    fly_threshold: ClassVar[int] = 6  # strictly more than this many blocks must leave
+    eval_seconds: ClassVar[int] = 10
+    watch_size: ClassVar[int] = 9
+    spawn_box: ClassVar[Box] = Box((0, 0, 0), (SPAWN_BOX_SIZE,) * 3)
+    watch_box: ClassVar[Box] = Box.cube((SPAWN_BOX_SIZE // 2,) * 3, watch_size)
+
     fly_reward: float = 55.0
-    leftover_penalty: float = 0.1
-    fly_threshold: int = 6  # strictly more than this many blocks must leave
-    eval_seconds: int = 10
-    spawn_size: int = 3
-    watch_size: int = 9
 
     def __post_init__(self):
         # The worst-case flying score must still beat any oscillation score a
         # shape could plausibly accumulate while confined to the watch region
         # (bounded here by eval_seconds * watch-region radius).
-        volume = self.spawn_size**3
-        min_fly = self.fly_reward - self.leftover_penalty * (volume - self.fly_threshold)
+        min_fly = self.fly_reward - self.leftover_penalty * (SPAWN_BOX_SIZE**3 - self.fly_threshold)
         max_oscillation = self.eval_seconds * (self.watch_size // 2)
         if min_fly <= max_oscillation:
             raise ValueError(
                 f"fly reward too small: worst flying score {min_fly} does not "
                 f"exceed the oscillation bound {max_oscillation}"
             )
-
-    @property
-    def spawn_box(self) -> Box:
-        return Box((0, 0, 0), (self.spawn_size,) * 3)
-
-    @property
-    def watch_box(self) -> Box:
-        center = tuple(self.spawn_size // 2 for _ in range(3))
-        return Box.cube(center, self.watch_size)
 
 
 @dataclass

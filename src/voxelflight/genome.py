@@ -10,10 +10,11 @@ set; orientation is split evenly over North, South, East, West, Up, Down.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .blocks import BlockPlacement, BlockSet, ORIENTATION_ORDER
+from .blocks import BlockPlacement, BlockSet, ORIENTATION_ORDER, SPAWN_BOX_SIZE
 
 Genome = np.ndarray
 
@@ -30,27 +31,17 @@ class LengthMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class DecodeConfig:
+    """Decoding settings: the block set is chosen per run; the shape is the
+    pinned SPAWN_BOX_SIZE cube."""
+
     block_set: BlockSet = BlockSet.ORIGINAL
-    presence_threshold: float = PRESENCE_THRESHOLD
-    shape_dims: tuple[int, int, int] = (3, 3, 3)
 
-    def __post_init__(self):
-        if not 0.0 < self.presence_threshold < 1.0:
-            raise ValueError("presence_threshold must be in (0, 1)")
-
-    @property
-    def volume(self) -> int:
-        dx, dy, dz = self.shape_dims
-        return dx * dy * dz
-
-    @property
-    def genome_length(self) -> int:
-        return 3 * self.volume
+    volume: ClassVar[int] = SPAWN_BOX_SIZE**3
+    genome_length: ClassVar[int] = 3 * volume
 
     def cell_for_index(self, i: int) -> tuple[int, int, int]:
-        _, dy, dz = self.shape_dims
-        x, rem = divmod(i, dy * dz)
-        y, z = divmod(rem, dz)
+        x, rem = divmod(i, SPAWN_BOX_SIZE * SPAWN_BOX_SIZE)
+        y, z = divmod(rem, SPAWN_BOX_SIZE)
         return (x, y, z)
 
 
@@ -63,7 +54,7 @@ def decode(genome: Genome, cfg: DecodeConfig) -> list[BlockPlacement]:
     shape: list[BlockPlacement] = []
     for i in range(cfg.volume):
         presence, kind_gene, orient_gene = genome[3 * i : 3 * i + 3]
-        if presence <= cfg.presence_threshold:
+        if presence <= PRESENCE_THRESHOLD:
             continue
         kind = members[min(int(kind_gene * k), k - 1)]
         orient = ORIENTATION_ORDER[min(int(orient_gene * 6), 5)]

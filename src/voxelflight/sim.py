@@ -31,7 +31,7 @@ reproducible bit-for-bit:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 from .blocks import (
     Block,
@@ -51,24 +51,17 @@ from .blocks import (
 
 @dataclass(frozen=True)
 class TickConfig:
-    """Simulation timing knobs; defaults mirror the game's 20 ticks/second."""
+    """Simulator settings: the game's timing rules are pinned constants;
+    only the observer placement quirk is chosen per run."""
 
-    ticks_per_second: int = 20
-    piston_extend_delay: int = 2
-    piston_retract_delay: int = 2
-    observer_pulse_delay: int = 2
-    observer_pulse_length: int = 2
-    push_limit: int = 12
+    ticks_per_second: ClassVar[int] = 20
+    piston_extend_delay: ClassVar[int] = 2
+    piston_retract_delay: ClassVar[int] = 2
+    observer_pulse_delay: ClassVar[int] = 2
+    observer_pulse_length: ClassVar[int] = 2
+    push_limit: ClassVar[int] = 12
+
     emulate_observer_bug: bool = True
-
-    def __post_init__(self):
-        if self.ticks_per_second < 1:
-            raise ValueError("ticks_per_second must be >= 1")
-        for name in ("piston_extend_delay", "piston_retract_delay", "observer_pulse_delay", "observer_pulse_length"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.push_limit < 1:
-            raise ValueError("push_limit must be >= 1")
 
 
 def apply_observer_bug(shape: list[BlockPlacement]) -> list[BlockPlacement]:
@@ -93,7 +86,7 @@ def compute_power(world: WorldState) -> frozenset[Vec3]:
     return frozenset(powered)
 
 
-def compute_push_set(world: WorldState, piston_pos: Vec3, direction: Orientation, push_limit: int = 12) -> Optional[set[Vec3]]:
+def compute_push_set(world: WorldState, piston_pos: Vec3, direction: Orientation) -> Optional[set[Vec3]]:
     """Positions a piston extension would move, or None when blocked.
 
     An empty set means the piston fires into air (head only).
@@ -117,7 +110,7 @@ def compute_push_set(world: WorldState, piston_pos: Vec3, direction: Orientation
         if block.kind in PISTON_KINDS and block.extended:
             return None
         result.add(cell)
-        if len(result) > push_limit:
+        if len(result) > TickConfig.push_limit:
             return None
         if block.kind is BlockKind.SLIME_BLOCK:
             stack.extend(neighbors6(cell))
@@ -125,7 +118,7 @@ def compute_push_set(world: WorldState, piston_pos: Vec3, direction: Orientation
     return result
 
 
-def _pull_set(world: WorldState, piston_pos: Vec3, facing: Orientation, push_limit: int) -> Optional[set[Vec3]]:
+def _pull_set(world: WorldState, piston_pos: Vec3, facing: Orientation) -> Optional[set[Vec3]]:
     """Positions a sticky retraction drags toward the piston, or None for no pull.
 
     Called after the head has been removed. The closure starts at the block
@@ -151,7 +144,7 @@ def _pull_set(world: WorldState, piston_pos: Vec3, facing: Orientation, push_lim
         if block.kind in HEAD_KINDS or (block.kind in PISTON_KINDS and block.extended):
             continue  # immovable: not dragged, does not cancel the pull
         result.add(cell)
-        if len(result) > push_limit:
+        if len(result) > TickConfig.push_limit:
             return None
         if block.kind is BlockKind.SLIME_BLOCK:
             stack.extend(neighbors6(cell))
@@ -202,7 +195,7 @@ def step(world: WorldState, cfg: TickConfig) -> tuple[WorldState, set[Vec3]]:
         if event.action == "extend":
             if block.extended:
                 continue
-            push = compute_push_set(w, event.pos, event.orient, cfg.push_limit)
+            push = compute_push_set(w, event.pos, event.orient)
             if push is None:
                 continue  # blocked pistons simply do not fire
             _translate_blocks(w, push, event.orient.vector, moved)
@@ -221,7 +214,7 @@ def step(world: WorldState, cfg: TickConfig) -> tuple[WorldState, set[Vec3]]:
             moved.add(head_pos)
             w.blocks[event.pos] = block._replace(extended=False)
             if block.kind is BlockKind.STICKY_PISTON:
-                pull = _pull_set(w, event.pos, event.orient, cfg.push_limit)
+                pull = _pull_set(w, event.pos, event.orient)
                 if pull:
                     _translate_blocks(w, pull, event.orient.opposite.vector, moved)
 

@@ -1,7 +1,10 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
+import voxelflight
 from voxelflight import (
     Archive,
     ArchiveLayout,
@@ -22,12 +25,13 @@ from voxelflight import (
 )
 from voxelflight.campaign import (
     RunOutcome,
+    load_manifest_config,
     round_up_to_interval,
     run_single,
     save_archive,
     summarize,
 )
-from voxelflight.cli import main, parse_config_file
+from voxelflight.cli import console_main, main, parse_config_file
 
 from helpers import genome_for_shape
 
@@ -73,6 +77,11 @@ class TestCampaign:
         run_campaign(tiny_config(tmp_path / "a"))
         run_campaign(tiny_config(tmp_path / "b"))
         assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
+
+    def test_rerun_replaces_stale_runs(self, tmp_path):
+        run_campaign(tiny_config(tmp_path / "c", runs=3))
+        run_campaign(tiny_config(tmp_path / "c", runs=1))
+        assert os.listdir(tmp_path / "c" / "runs") == ["run_000"]
 
     def test_pf_campaign_runs(self, tmp_path):
         cfg = tiny_config(tmp_path / "pf", method=Method.PF, runs=1)
@@ -147,7 +156,7 @@ class TestArchivePersistence:
         out = tmp_path / "flyer_export.shape"
         rc = main([
             "export", "--in", str(tmp_path), "--bin", str(bin_index),
-            "--out", str(out), "--method", "me-po", "--block-set", "observer",
+            "--out", str(out),
         ])
         assert rc == 0
         exported = parse_shape(out.read_text())
@@ -156,6 +165,28 @@ class TestArchivePersistence:
         assert again.flew is True and again.fitness == result.fitness
         header = out.read_text().splitlines()[:4]
         assert any("fitness" in line for line in header)
+
+    def test_export_takes_settings_from_manifest(self, tmp_path, fixtures_dir):
+        cfg = tiny_config(tmp_path, runs=1, block_set=BlockSet.ORIGINAL, emulate_observer_bug=False)
+        shape = read_shape_file(os.path.join(fixtures_dir, "reference_flyer.shape"))
+        genome = genome_for_shape(shape, DecodeConfig(block_set=BlockSet.OBSERVER))
+        decoded = decode(genome, cfg.decode_config())
+        assert decoded != shape  # the two block sets read these genes differently
+        layout = ArchiveLayout(Characterization.PISTON_ORIENTATION)
+        archive = Archive(layout)
+        bin_index = layout.bin_index(layout.descriptor(decoded))
+        archive.insert(bin_index, genome, evaluate(genome, cfg.decode_config(), cfg.tick_config(), FitnessConfig()))
+        archive_dir = str(tmp_path / "archive")
+        save_archive(archive, archive_dir, cfg, seed=0)
+
+        out = tmp_path / "export.shape"
+        assert main(["export", "--in", str(tmp_path), "--bin", str(bin_index), "--out", str(out)]) == 0
+        assert parse_shape(out.read_text()) == decode(genome, DecodeConfig(block_set=BlockSet.ORIGINAL))
+        manifest = (tmp_path / "archive" / "manifest.txt").read_text().splitlines()
+        stored = next(line.split()[2] for line in manifest if line.startswith(f"bin {bin_index} "))
+        assert f"# fitness {stored}" in out.read_text().splitlines()
+        loaded = load_manifest_config(archive_dir)
+        assert (loaded.method, loaded.block_set, loaded.emulate_observer_bug) == (Method.ME_PO, BlockSet.ORIGINAL, False)
 
     def test_export_missing_bin(self, tmp_path, fixtures_dir):
         archive, bin_index, _, _ = self._flyer_archive(fixtures_dir)
@@ -247,6 +278,30 @@ class TestCli:
         unknown.write_text("nope = 1\n")
         with pytest.raises(ValueError):
             main(["run", "--config", str(unknown)])
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--runs", "0"],
+        ["run", "--init-samples", "0"],
+        ["export", "--in", "no_such_run", "--bin", "0", "--out", "x.shape"],
+    ])
+    def test_user_errors_exit_2_with_one_line(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert console_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("voxelflight: error: ")
+        assert os.listdir(tmp_path) == []
+
+    def test_console_exit_code(self, tmp_path):
+        src_dir = os.path.dirname(os.path.dirname(voxelflight.__file__))
+        env = dict(os.environ, PYTHONPATH=src_dir)
+        proc = subprocess.run(
+            [sys.executable, "-m", "voxelflight.cli", "run", "--runs", "0"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "voxelflight: error: runs must be >= 1\n"
 
     def test_no_observer_bug_flag(self, tmp_path):
         out = tmp_path / "nobug"
