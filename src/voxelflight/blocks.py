@@ -42,10 +42,13 @@ class BlockKind(Enum):
 
 
 PISTON_KINDS = frozenset({BlockKind.PISTON, BlockKind.STICKY_PISTON})
-HEAD_KINDS = frozenset({BlockKind.PISTON_HEAD_NORMAL, BlockKind.PISTON_HEAD_STICKY})
 
 
 class Orientation(Enum):
+    """A facing. `vector` (the unit step) and `opposite` are plain member
+    attributes, set once at import: the simulator reads them per block per
+    tick, where an Enum property or `value` lookup is a Python-level call."""
+
     NORTH = (0, 0, -1)
     SOUTH = (0, 0, 1)
     EAST = (1, 0, 0)
@@ -53,23 +56,17 @@ class Orientation(Enum):
     UP = (0, 1, 0)
     DOWN = (0, -1, 0)
 
-    @property
-    def vector(self) -> Vec3:
-        return self.value
+    vector: Vec3
+    opposite: "Orientation"
 
-    @property
-    def opposite(self) -> "Orientation":
-        return _OPPOSITE[self]
+    def __init__(self, x: int, y: int, z: int):
+        self.vector = (x, y, z)
 
 
-_OPPOSITE = {
-    Orientation.NORTH: Orientation.SOUTH,
-    Orientation.SOUTH: Orientation.NORTH,
-    Orientation.EAST: Orientation.WEST,
-    Orientation.WEST: Orientation.EAST,
-    Orientation.UP: Orientation.DOWN,
-    Orientation.DOWN: Orientation.UP,
-}
+Orientation.NORTH.opposite, Orientation.SOUTH.opposite = Orientation.SOUTH, Orientation.NORTH
+Orientation.EAST.opposite, Orientation.WEST.opposite = Orientation.WEST, Orientation.EAST
+Orientation.UP.opposite, Orientation.DOWN.opposite = Orientation.DOWN, Orientation.UP
+
 
 # Fixed order used by the genome decoder and by direction tie-breaking.
 ORIENTATION_ORDER: tuple[Orientation, ...] = (
@@ -172,7 +169,9 @@ class Box:
         return cls((center[0] - r, center[1] - r, center[2] - r), (size, size, size))
 
     def contains(self, pos: Vec3) -> bool:
-        return all(self.min[i] <= pos[i] < self.min[i] + self.dims[i] for i in range(3))
+        (x0, y0, z0), (dx, dy, dz) = self.min, self.dims
+        x, y, z = pos
+        return x0 <= x < x0 + dx and y0 <= y < y0 + dy and z0 <= z < z0 + dz
 
     @property
     def center(self) -> tuple[float, float, float]:

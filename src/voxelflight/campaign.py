@@ -34,7 +34,7 @@ class ConfigError(ValueError):
     """An experiment configuration violates its invariants."""
 
 
-class SelectorError(KeyError):
+class SelectorError(ValueError):
     """An export selector resolves to no occupant."""
 
 

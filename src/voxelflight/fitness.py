@@ -121,10 +121,9 @@ def evaluate_shape(shape: list[BlockPlacement], tick_cfg: TickConfig, fit_cfg: F
 
     def poll(world: WorldState, second: int) -> bool:
         state["done_tick"] = world.tick
-        for pos in sorted(world.blocks):
-            if not watch.contains(pos) and pos not in logged_exits:
-                logged_exits.add(pos)
-                exit_log.append((pos, world.tick))
+        left = sorted(pos for pos in world.blocks if pos not in logged_exits and not watch.contains(pos))
+        logged_exits.update(left)
+        exit_log.extend((pos, world.tick) for pos in left)
         com = center_of_mass(world, watch)
         inside = count_blocks(world, watch)
         if placed - inside > fit_cfg.fly_threshold:

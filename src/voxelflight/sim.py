@@ -37,9 +37,7 @@ from .blocks import (
     Block,
     BlockKind,
     BlockPlacement,
-    HEAD_KINDS,
     Orientation,
-    PISTON_KINDS,
     Pulse,
     TickEvent,
     Vec3,
@@ -47,6 +45,16 @@ from .blocks import (
     add,
     neighbors6,
 )
+
+# The per-tick kernel tests kinds by identity against these constants:
+# membership in a frozenset of kinds calls the Python-level Enum.__hash__.
+_PISTON = BlockKind.PISTON
+_STICKY_PISTON = BlockKind.STICKY_PISTON
+_HEAD_NORMAL = BlockKind.PISTON_HEAD_NORMAL
+_HEAD_STICKY = BlockKind.PISTON_HEAD_STICKY
+_REDSTONE = BlockKind.REDSTONE_BLOCK
+_SLIME = BlockKind.SLIME_BLOCK
+_OBSERVER = BlockKind.OBSERVER
 
 
 @dataclass(frozen=True)
@@ -78,7 +86,7 @@ def compute_power(world: WorldState) -> frozenset[Vec3]:
     """Cells currently powered: redstone 6-adjacency plus active pulse outputs."""
     powered: set[Vec3] = set()
     for pos, block in world.blocks.items():
-        if block.kind is BlockKind.REDSTONE_BLOCK:
+        if block.kind is _REDSTONE:
             powered.update(neighbors6(pos))
     for pulse in world.pulses:
         if pulse.start <= world.tick < pulse.end:
@@ -86,13 +94,23 @@ def compute_power(world: WorldState) -> frozenset[Vec3]:
     return frozenset(powered)
 
 
+def _immovable(block: Block) -> bool:
+    """A piston head or an extended piston base: never pushed or pulled."""
+    kind = block.kind
+    if kind is _HEAD_NORMAL or kind is _HEAD_STICKY:
+        return True
+    return block.extended and (kind is _PISTON or kind is _STICKY_PISTON)
+
+
 def compute_push_set(world: WorldState, piston_pos: Vec3, direction: Orientation) -> Optional[set[Vec3]]:
     """Positions a piston extension would move, or None when blocked.
 
     An empty set means the piston fires into air (head only).
     """
-    front = add(piston_pos, direction.vector)
-    if front not in world.blocks:
+    blocks = world.blocks
+    dx, dy, dz = direction.vector
+    front = (piston_pos[0] + dx, piston_pos[1] + dy, piston_pos[2] + dz)
+    if front not in blocks:
         return set()
     result: set[Vec3] = set()
     stack = [front]
@@ -100,21 +118,19 @@ def compute_push_set(world: WorldState, piston_pos: Vec3, direction: Orientation
         cell = stack.pop()
         if cell in result:
             continue
-        block = world.blocks.get(cell)
+        block = blocks.get(cell)
         if block is None:
             continue
         if cell == piston_pos:
             return None  # slime loop back onto the pushing piston
-        if block.kind in HEAD_KINDS:
-            return None
-        if block.kind in PISTON_KINDS and block.extended:
+        if _immovable(block):
             return None
         result.add(cell)
         if len(result) > TickConfig.push_limit:
             return None
-        if block.kind is BlockKind.SLIME_BLOCK:
+        if block.kind is _SLIME:
             stack.extend(neighbors6(cell))
-        stack.append(add(cell, direction.vector))
+        stack.append((cell[0] + dx, cell[1] + dy, cell[2] + dz))
     return result
 
 
@@ -126,11 +142,11 @@ def _pull_set(world: WorldState, piston_pos: Vec3, facing: Orientation) -> Optio
     piston is never included and immovable blocks reached through slime are
     skipped rather than dragged.
     """
-    target = add(piston_pos, (facing.vector[0] * 2, facing.vector[1] * 2, facing.vector[2] * 2))
-    first = world.blocks.get(target)
-    if first is None:
-        return None
-    if first.kind in HEAD_KINDS or (first.kind in PISTON_KINDS and first.extended):
+    blocks = world.blocks
+    dx, dy, dz = facing.vector
+    target = (piston_pos[0] + 2 * dx, piston_pos[1] + 2 * dy, piston_pos[2] + 2 * dz)
+    first = blocks.get(target)
+    if first is None or _immovable(first):
         return None
     result: set[Vec3] = set()
     stack = [target]
@@ -138,22 +154,21 @@ def _pull_set(world: WorldState, piston_pos: Vec3, facing: Orientation) -> Optio
         cell = stack.pop()
         if cell in result or cell == piston_pos:
             continue
-        block = world.blocks.get(cell)
+        block = blocks.get(cell)
         if block is None:
             continue
-        if block.kind in HEAD_KINDS or (block.kind in PISTON_KINDS and block.extended):
+        if _immovable(block):
             continue  # immovable: not dragged, does not cancel the pull
         result.add(cell)
         if len(result) > TickConfig.push_limit:
             return None
-        if block.kind is BlockKind.SLIME_BLOCK:
+        if block.kind is _SLIME:
             stack.extend(neighbors6(cell))
-    back = facing.opposite.vector
     for cell in result:
-        dest = add(cell, back)
+        dest = (cell[0] - dx, cell[1] - dy, cell[2] - dz)
         if dest in result:
             continue
-        if dest in world.blocks:
+        if dest in blocks:
             return None  # destination occupied by a non-member: whole pull fails
     return result
 
@@ -167,9 +182,18 @@ def _translate_blocks(world: WorldState, cells: set[Vec3], offset: Vec3, moved: 
         moved.add(dest)
 
 
+def _out_of_step_pistons(blocks: dict[Vec3, Block], powered: frozenset[Vec3]) -> list[Vec3]:
+    """Pistons whose extension state differs from their power: each schedules a toggle."""
+    return [
+        pos for pos, b in blocks.items()
+        if (b.kind is _PISTON or b.kind is _STICKY_PISTON) and b.extended != (pos in powered)
+    ]
+
+
 def step(world: WorldState, cfg: TickConfig) -> tuple[WorldState, set[Vec3]]:
     """Advance exactly one tick; returns the new world and the changed cells."""
     w = world.copy()
+    blocks = w.blocks
     t = w.tick
     moved: set[Vec3] = set()
 
@@ -177,21 +201,21 @@ def step(world: WorldState, cfg: TickConfig) -> tuple[WorldState, set[Vec3]]:
 
     # Schedule piston state changes. Iterating positions in sorted order makes
     # sequence numbers (and therefore same-tick firing order) deterministic.
-    for pos in sorted(p for p, b in w.blocks.items() if b.kind in PISTON_KINDS):
-        block = w.blocks[pos]
-        if pos in powered and not block.extended:
-            w.events.append(TickEvent(t + cfg.piston_extend_delay, w.next_seq, "extend", pos, block.orient))
-            w.next_seq += 1
-        elif pos not in powered and block.extended:
+    for pos in sorted(_out_of_step_pistons(blocks, powered)):
+        block = blocks[pos]
+        if block.extended:
             w.events.append(TickEvent(t + cfg.piston_retract_delay, w.next_seq, "retract", pos, block.orient))
-            w.next_seq += 1
+        else:
+            w.events.append(TickEvent(t + cfg.piston_extend_delay, w.next_seq, "extend", pos, block.orient))
+        w.next_seq += 1
 
     due = sorted((e for e in w.events if e.due <= t), key=lambda e: e.seq)
     w.events = [e for e in w.events if e.due > t]
     for event in due:
-        block = w.blocks.get(event.pos)
-        if block is None or block.kind not in PISTON_KINDS or block.orient is not event.orient:
+        block = blocks.get(event.pos)
+        if block is None or not (block.kind is _PISTON or block.kind is _STICKY_PISTON) or block.orient is not event.orient:
             continue
+        head_pos = add(event.pos, event.orient.vector)
         if event.action == "extend":
             if block.extended:
                 continue
@@ -199,36 +223,47 @@ def step(world: WorldState, cfg: TickConfig) -> tuple[WorldState, set[Vec3]]:
             if push is None:
                 continue  # blocked pistons simply do not fire
             _translate_blocks(w, push, event.orient.vector, moved)
-            head_kind = BlockKind.PISTON_HEAD_STICKY if block.kind is BlockKind.STICKY_PISTON else BlockKind.PISTON_HEAD_NORMAL
-            head_pos = add(event.pos, event.orient.vector)
-            w.blocks[head_pos] = Block(head_kind, event.orient)
-            w.blocks[event.pos] = block._replace(extended=True)
+            blocks[head_pos] = Block(_HEAD_STICKY if block.kind is _STICKY_PISTON else _HEAD_NORMAL, event.orient)
+            blocks[event.pos] = Block(block.kind, block.orient, True)
             moved.add(head_pos)
         else:
             if not block.extended:
                 continue
-            head_pos = add(event.pos, event.orient.vector)
-            head = w.blocks.get(head_pos)
-            assert head is not None and head.kind in HEAD_KINDS, "extended piston lost its head"
-            del w.blocks[head_pos]
+            head = blocks.get(head_pos)
+            assert head is not None and (head.kind is _HEAD_NORMAL or head.kind is _HEAD_STICKY), \
+                "extended piston lost its head"
+            del blocks[head_pos]
             moved.add(head_pos)
-            w.blocks[event.pos] = block._replace(extended=False)
-            if block.kind is BlockKind.STICKY_PISTON:
+            blocks[event.pos] = Block(block.kind, block.orient, False)
+            if block.kind is _STICKY_PISTON:
                 pull = _pull_set(w, event.pos, event.orient)
                 if pull:
                     _translate_blocks(w, pull, event.orient.opposite.vector, moved)
 
     if moved:
-        for pos in sorted(p for p, b in w.blocks.items() if b.kind is BlockKind.OBSERVER):
-            block = w.blocks[pos]
-            if add(pos, block.orient.vector) in moved:
-                output = add(pos, block.orient.opposite.vector)
+        for pos in sorted(p for p, b in blocks.items() if b.kind is _OBSERVER):
+            orient = blocks[pos].orient
+            if add(pos, orient.vector) in moved:
+                output = add(pos, orient.opposite.vector)
                 start = t + cfg.observer_pulse_delay
                 w.pulses.append(Pulse(output, start, start + cfg.observer_pulse_length))
 
     w.pulses = [p for p in w.pulses if p.end > t + 1]
     w.tick = t + 1
     return w, moved
+
+
+def is_fixed_point(world: WorldState) -> bool:
+    """True when no later `step` can change anything but the tick.
+
+    That holds when no event is pending, no pulse is scheduled or active, and
+    every piston's extension state already equals its powered state: then a
+    step schedules nothing, fires nothing and moves nothing. All three are
+    needed; an extended piston whose pulse has just expired, for one, retracts.
+    """
+    if world.events or world.pulses:
+        return False
+    return not _out_of_step_pistons(world.blocks, compute_power(world))
 
 
 def run_until(
@@ -240,19 +275,28 @@ def run_until(
     """Step the world, polling `observer(world, seconds)` at every whole second.
 
     The callback runs at second 0 before any stepping and may return False to
-    stop early. Stops unconditionally once `max_ticks` ticks have run.
+    stop early. Stops unconditionally once `max_ticks` ticks have run. Once
+    the world reaches a fixed point (see `is_fixed_point`) it is no longer
+    stepped: each later poll sees the same world at the poll's tick, exactly
+    what stepping would have produced. The caller's world is never modified.
     """
     if max_ticks < 1:
         raise ValueError("max_ticks must be >= 1")
     if not observer(world, 0):
         return world
+    start = world.tick
+    settled = is_fixed_point(world)
     ticks_done = 0
     second = 0
     while ticks_done < max_ticks:
         burst = min(cfg.ticks_per_second, max_ticks - ticks_done)
-        for _ in range(burst):
-            world, _moved = step(world, cfg)
         ticks_done += burst
+        while not settled and world.tick < start + ticks_done:
+            world, _moved = step(world, cfg)
+            settled = is_fixed_point(world)
+        if world.tick != start + ticks_done:  # settled: jump to the poll's tick on a copy
+            world = world.copy()
+            world.tick = start + ticks_done
         if burst < cfg.ticks_per_second:
             break  # partial trailing second is not polled
         second += 1

@@ -1,6 +1,6 @@
 import numpy as np
 
-from voxelflight import DecodeConfig, WorldState
+from voxelflight import DecodeConfig, WorldState, step
 from voxelflight.blocks import ORIENTATION_ORDER, add
 
 
@@ -28,3 +28,27 @@ def translated(world: WorldState, offset) -> WorldState:
         [p._replace(cell=add(p.cell, offset)) for p in world.pulses],
         world.next_seq,
     )
+
+
+def reference_run_until(world, cfg, max_ticks, observer):
+    """`run_until` without fast-forward: one `step` on every tick.
+
+    The reference the real `run_until` must match poll for poll.
+    """
+    if max_ticks < 1:
+        raise ValueError("max_ticks must be >= 1")
+    if not observer(world, 0):
+        return world
+    ticks_done = 0
+    second = 0
+    while ticks_done < max_ticks:
+        burst = min(cfg.ticks_per_second, max_ticks - ticks_done)
+        for _ in range(burst):
+            world, _moved = step(world, cfg)
+        ticks_done += burst
+        if burst < cfg.ticks_per_second:
+            break  # partial trailing second is not polled
+        second += 1
+        if not observer(world, second):
+            break
+    return world

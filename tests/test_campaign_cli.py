@@ -197,6 +197,18 @@ class TestArchivePersistence:
         with pytest.raises(SelectorError):
             export_shape_file(cfg, str(tmp_path / "archive"), bin_index + 1, str(tmp_path / "x.shape"))
 
+    def test_export_of_empty_bin_exits_2_with_one_line(self, tmp_path, capsys, fixtures_dir):
+        # The empty-bin case of TestCli.test_user_errors_exit_2_with_one_line;
+        # it needs an archive on disk, which that test's empty directory cannot hold.
+        archive, bin_index, _, _ = self._flyer_archive(fixtures_dir)
+        save_archive(archive, str(tmp_path / "archive"), tiny_config(tmp_path, runs=1), seed=0)
+        out = tmp_path / "x.shape"
+        assert console_main(["export", "--in", str(tmp_path), "--bin", str(bin_index + 1), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"voxelflight: error: no occupant stored for bin {bin_index + 1} under {tmp_path / 'archive'}\n"
+        assert not out.exists()
+
 
 class TestCli:
     def test_run_and_report(self, tmp_path, capsys):

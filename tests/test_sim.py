@@ -5,22 +5,32 @@ adjacency, two-tick piston delays, FIFO event order, slime closures, observer
 pulses) and are frozen here; the simulator must reproduce them exactly.
 """
 
+import copy
+
+import numpy as np
 import pytest
 
 from voxelflight import (
     Block,
     BlockKind,
     BlockPlacement,
+    BlockSet,
+    DecodeConfig,
     Orientation,
     TickConfig,
     WorldState,
+    apply_observer_bug,
     compute_push_set,
+    decode,
     place_shape,
+    random_genome,
     run_until,
     step,
 )
+from voxelflight.blocks import Pulse
+from voxelflight.sim import is_fixed_point
 
-from helpers import translated
+from helpers import reference_run_until, translated
 
 K = BlockKind
 O = Orientation
@@ -390,3 +400,131 @@ class TestReferenceFlyer:
                 break
         assert w.tick < 200
         assert placed - count_blocks(w, watch) > 6
+
+
+def random_worlds(count, seed):
+    """Freshly placed worlds from uniform random genomes: `count` per block
+    set and observer-bug setting, with the setting they run under."""
+    rng = np.random.default_rng(seed)
+    worlds = []
+    for block_set in BlockSet:
+        for bug in (True, False):
+            cfg = DecodeConfig(block_set=block_set)
+            for _ in range(count):
+                shape = decode(random_genome(rng, cfg.genome_length), cfg)
+                if bug:
+                    shape = apply_observer_bug(shape)
+                worlds.append((place_shape(WorldState(), shape, (0, 0, 0)), TickConfig(emulate_observer_bug=bug)))
+    return worlds
+
+
+RANDOM_WORLDS = random_worlds(75, seed=2024)
+
+
+def polls_of(run, world, cfg, max_ticks):
+    """Run `run` (a run_until) recording every poll; returns (polls, final world)."""
+    polls = []
+
+    def record(w, second):
+        polls.append((second, w.tick, dict(w.blocks)))
+        return True
+
+    return polls, run(world, cfg, max_ticks, record)
+
+
+def unsettled_after_pulse():
+    """An extended piston at tick 6 whose observer pulse ended at tick 6: no
+    events, no pulses, but unpowered, so it retracts."""
+    w = make_world({(0, 0, 0): (K.PISTON, O.EAST, True), (1, 0, 0): (K.PISTON_HEAD_NORMAL, O.EAST)})
+    w.tick = 5
+    w.pulses = [Pulse((0, 0, 0), 3, 6)]
+    w, _ = step(w, CFG)
+    return w
+
+
+class TestFastForward:
+    """`run_until` skips ticks once the world is a fixed point; it must give
+    exactly the polls and the final world of stepping every tick."""
+
+    @pytest.mark.parametrize("max_ticks", [200, 213])
+    def test_matches_stepping_every_tick_on_random_genomes(self, max_ticks):
+        for world, cfg in RANDOM_WORLDS:
+            fast_polls, fast = polls_of(run_until, world, cfg, max_ticks)
+            naive_polls, naive = polls_of(reference_run_until, world, cfg, max_ticks)
+            assert fast_polls == naive_polls
+            assert fast == naive  # blocks, tick, events, pulses, next_seq
+
+    def test_matches_on_fixtures(self, reference_flyer):
+        observer_fixture = TestObserverFixture()
+        observer_fixture.setup_method()
+        for world in (place_shape(WorldState(), reference_flyer, (0, 0, 0)), observer_fixture.world, unsettled_after_pulse()):
+            fast_polls, fast = polls_of(run_until, world, CFG, 200)
+            naive_polls, naive = polls_of(reference_run_until, world, CFG, 200)
+            assert fast_polls == naive_polls
+            assert fast == naive
+
+    def test_random_genomes_reach_fixed_points(self):
+        # Guards the equivalence test above against a vacuous pass.
+        settled = sum(is_fixed_point(run_ticks(world, 40, cfg)) for world, cfg in RANDOM_WORLDS)
+        assert 0 < settled < len(RANDOM_WORLDS)
+
+
+class TestFixedPointSoundness:
+    def test_fixed_point_stays_fixed(self):
+        checked = 0
+        for world, cfg in RANDOM_WORLDS:
+            for _ in range(100):
+                if is_fixed_point(world):
+                    later = world
+                    for _ in range(25):
+                        later, moved = step(later, cfg)
+                        assert moved == set()
+                        assert (later.blocks, later.events, later.pulses, later.next_seq) == (
+                            world.blocks, world.events, world.pulses, world.next_seq)
+                    assert is_fixed_point(later)
+                    checked += 1
+                    break
+                world, _ = step(world, cfg)
+        assert checked > len(RANDOM_WORLDS) // 2
+
+    def test_extended_piston_after_pulse_is_not_fixed(self):
+        w = unsettled_after_pulse()
+        assert (w.tick, w.events, w.pulses) == (6, [], [])
+        assert w.blocks[(0, 0, 0)].extended
+        assert not is_fixed_point(w)
+        w = run_ticks(w, 3)
+        assert not w.blocks[(0, 0, 0)].extended
+        assert (1, 0, 0) not in w.blocks
+
+
+class TestPurity:
+    """Neither `step` nor `run_until` modifies the world it is given."""
+
+    def worlds(self, reference_flyer):
+        oscillator = TestOscillatorFixture()
+        oscillator.setup_method()
+        observer_fixture = TestObserverFixture()
+        observer_fixture.setup_method()
+        settled = make_world({(0, 0, 0): (K.QUARTZ_BLOCK, O.NORTH), (1, 0, 0): (K.REDSTONE_BLOCK, O.NORTH)})
+        assert is_fixed_point(settled)
+        return [
+            settled,
+            oscillator.world,
+            observer_fixture.world,
+            run_ticks(observer_fixture.world, 3),  # pending events and a pulse
+            unsettled_after_pulse(),
+            place_shape(WorldState(), reference_flyer, (0, 0, 0)),
+        ]
+
+    def test_step_leaves_input_unchanged(self, reference_flyer):
+        for w in self.worlds(reference_flyer):
+            before = copy.deepcopy(w)
+            step(w, CFG)
+            assert w == before
+
+    def test_run_until_leaves_input_unchanged(self, reference_flyer):
+        for w in self.worlds(reference_flyer):
+            before = copy.deepcopy(w)
+            out = run_until(w, CFG, 200, lambda world, second: True)
+            assert w == before
+            assert out.tick == before.tick + 200
