@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .blocks import BlockPlacement, Orientation, PISTON_KINDS
+from .blocks import BlockKind, BlockPlacement, Orientation
 
 BehaviorDescriptor = tuple[int, ...]
 
@@ -79,13 +79,17 @@ def negative_space(shape: list[BlockPlacement]) -> int:
     return volume - len(shape)
 
 
+# Kinds are tested by identity and axes looked up by unit vector (an int
+# tuple): hashing a BlockKind or an Orientation is a Python-level call.
+_PISTON = BlockKind.PISTON
+_STICKY_PISTON = BlockKind.STICKY_PISTON
 _AXIS_OF = {
-    Orientation.NORTH: 0,
-    Orientation.SOUTH: 0,
-    Orientation.EAST: 1,
-    Orientation.WEST: 1,
-    Orientation.UP: 2,
-    Orientation.DOWN: 2,
+    Orientation.NORTH.vector: 0,
+    Orientation.SOUTH.vector: 0,
+    Orientation.EAST.vector: 1,
+    Orientation.WEST.vector: 1,
+    Orientation.UP.vector: 2,
+    Orientation.DOWN.vector: 2,
 }
 
 
@@ -93,6 +97,6 @@ def piston_orientation_bc(shape: list[BlockPlacement]) -> BehaviorDescriptor:
     """Piston counts grouped by axis (north/south, east/west, up/down), capped at 5."""
     counts = [0, 0, 0]
     for p in shape:
-        if p.kind in PISTON_KINDS:
-            counts[_AXIS_OF[p.orient]] += 1
+        if p.kind is _PISTON or p.kind is _STICKY_PISTON:
+            counts[_AXIS_OF[p.orient.vector]] += 1
     return tuple(min(c, MAX_PISTON_BIN) for c in counts)

@@ -41,9 +41,6 @@ class BlockKind(Enum):
     PISTON_HEAD_STICKY = "PISTON_HEAD_STICKY"
 
 
-PISTON_KINDS = frozenset({BlockKind.PISTON, BlockKind.STICKY_PISTON})
-
-
 class Orientation(Enum):
     """A facing. `vector` (the unit step) and `opposite` are plain member
     attributes, set once at import: the simulator reads them per block per

@@ -134,6 +134,8 @@ def _experiment_config(values: dict) -> ExperimentConfig:
     method = Method(values["method"])
     generations = values["generations"]
     if generations is None:
+        if values["lam"] < 1:  # checked before it divides
+            raise ValueError("lam (--lambda) must be >= 1")
         generations = max(1, round(values["evals"] / values["lam"]))
     budget = SearchBudget(
         init_samples=values["init_samples"],

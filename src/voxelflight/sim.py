@@ -266,6 +266,45 @@ def is_fixed_point(world: WorldState) -> bool:
     return not _out_of_step_pistons(world.blocks, compute_power(world))
 
 
+def _moved_forward(world: WorldState, ticks: int, seqs: int) -> WorldState:
+    """A copy of `world` later in time: the tick, every event's due tick and
+    every pulse's window move by `ticks`; event sequence numbers and
+    `next_seq` move by `seqs`. `step` only ever reads times and sequence
+    numbers relative to the tick and `next_seq`, so stepping commutes with it."""
+    return WorldState(
+        dict(world.blocks),
+        world.tick + ticks,
+        [TickEvent(e.due + ticks, e.seq + seqs, e.action, e.pos, e.orient) for e in world.events],
+        [Pulse(p.cell, p.start + ticks, p.end + ticks) for p in world.pulses],
+        world.next_seq + seqs,
+    )
+
+
+def _find_cycle(history: list[WorldState], seen: dict[tuple, list[int]]) -> Optional[tuple[int, int, int]]:
+    """Register the newest world of `history`; return the cycle it closes, if any.
+
+    A cycle (j, period, seqs) means: from stepped index j on, the world after
+    j + phase + laps*period steps is history[j + phase] moved forward by
+    laps*period ticks and laps*seqs sequence numbers.
+    A fixed point is a cycle of period 1 that needs no earlier world. Otherwise
+    the world closes a cycle when it equals an earlier one moved forward (see
+    `_moved_forward`). Candidates are keyed by occupied cells and queue
+    lengths, which hash only int tuples; a hit is then compared in full.
+    """
+    i = len(history) - 1
+    world = history[i]
+    if is_fixed_point(world):
+        return (i, 1, 0)
+    candidates = seen.setdefault((frozenset(world.blocks), len(world.events), len(world.pulses)), [])
+    for j in candidates:
+        earlier = history[j]
+        ticks, seqs = world.tick - earlier.tick, world.next_seq - earlier.next_seq
+        if _moved_forward(earlier, ticks, seqs) == world:
+            return (j, ticks, seqs)
+    candidates.append(i)
+    return None
+
+
 def run_until(
     world: WorldState,
     cfg: TickConfig,
@@ -276,27 +315,34 @@ def run_until(
 
     The callback runs at second 0 before any stepping and may return False to
     stop early. Stops unconditionally once `max_ticks` ticks have run. Once
-    the world reaches a fixed point (see `is_fixed_point`) it is no longer
-    stepped: each later poll sees the same world at the poll's tick, exactly
-    what stepping would have produced. The caller's world is never modified.
+    the world repeats an earlier state relative to its tick (a fixed point,
+    or a cycle; see `_find_cycle`) it is no longer stepped: each later poll,
+    and the returned world, is the stored world of the same phase moved
+    forward by whole periods, exactly what stepping would have produced.
+    The caller's world is never modified, and no world handed out shares
+    its blocks.
     """
     if max_ticks < 1:
         raise ValueError("max_ticks must be >= 1")
+    world = world.copy()
     if not observer(world, 0):
         return world
-    start = world.tick
-    settled = is_fixed_point(world)
+    history = [world]  # history[k]: the world after k steps
+    seen: dict[tuple, list[int]] = {}
+    cycle = _find_cycle(history, seen)
     ticks_done = 0
     second = 0
     while ticks_done < max_ticks:
         burst = min(cfg.ticks_per_second, max_ticks - ticks_done)
         ticks_done += burst
-        while not settled and world.tick < start + ticks_done:
+        while cycle is None and len(history) <= ticks_done:
             world, _moved = step(world, cfg)
-            settled = is_fixed_point(world)
-        if world.tick != start + ticks_done:  # settled: jump to the poll's tick on a copy
-            world = world.copy()
-            world.tick = start + ticks_done
+            history.append(world)
+            cycle = _find_cycle(history, seen)
+        if cycle is not None:
+            j, period, seqs = cycle
+            laps, phase = divmod(ticks_done - j, period)
+            world = _moved_forward(history[j + phase], laps * period, laps * seqs)
         if burst < cfg.ticks_per_second:
             break  # partial trailing second is not polled
         second += 1

@@ -295,6 +295,7 @@ class TestCli:
         ["run", "--runs", "0"],
         ["run", "--init-samples", "0"],
         ["export", "--in", "no_such_run", "--bin", "0", "--out", "x.shape"],
+        ["run", "--method", "pf", "--lambda", "0", "--evals", "10"],
     ])
     def test_user_errors_exit_2_with_one_line(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)

@@ -528,3 +528,144 @@ class TestPurity:
             out = run_until(w, CFG, 200, lambda world, second: True)
             assert w == before
             assert out.tick == before.tick + 200
+
+
+def relative_state(world):
+    """The world's state relative to its tick and next sequence number."""
+    t, n = world.tick, world.next_seq
+    return (
+        frozenset(world.blocks.items()),
+        tuple((e.due - t, e.seq - n, e.action, e.pos, e.orient) for e in world.events),
+        tuple((p.cell, p.start - t, p.end - t) for p in world.pulses),
+    )
+
+
+def first_repeat(world, cfg, ticks=200):
+    """(start, period) of the first repeated relative state within `ticks`
+    steps, found by stepping every tick; None when no state repeats."""
+    seen = {}
+    for i in range(ticks + 1):
+        key = relative_state(world)
+        if key in seen:
+            return seen[key], i - seen[key]
+        seen[key] = i
+        world, _ = step(world, cfg)
+    return None
+
+
+def blocked_powered_piston():
+    """A powered piston facing 13 blocks, over the push limit: it never fires
+    but schedules an extension every tick, so events are always pending."""
+    return TestPushLimitFixture()._world(13)
+
+
+def shuttle():
+    """A sticky piston facing its own redstone block: it pushes the block
+    away, loses power, pulls it back and extends again, period 6."""
+    return make_world({(0, 0, 0): (K.STICKY_PISTON, O.SOUTH), (0, 0, 1): (K.REDSTONE_BLOCK, O.UP)})
+
+
+def oscillator():
+    """The period-7 shuttle of `TestOscillatorFixture`."""
+    fixture = TestOscillatorFixture()
+    fixture.setup_method()
+    return fixture.world
+
+
+def periodic_fixtures():
+    return [
+        blocked_powered_piston(),
+        run_ticks(blocked_powered_piston(), 5),  # already cycling at the start
+        shuttle(),
+        run_ticks(shuttle(), 4),
+        oscillator(),
+    ]
+
+
+@pytest.fixture(scope="module")
+def pf_harvest():
+    """Worlds of the busy shapes a fixed-seed 1,000-evaluation PF run
+    evaluated: the last 60 distinct shapes that ran 80 ticks or more, as
+    placed (observer rewrite applied)."""
+    from voxelflight import FitnessConfig, SearchBudget, search
+
+    decode_cfg, tick_cfg = DecodeConfig(block_set=BlockSet.OBSERVER), TickConfig()
+    evaluated = []
+    real_evaluate = search.evaluate
+
+    def recording_evaluate(genome, *args):
+        result = real_evaluate(genome, *args)
+        evaluated.append((genome, result.ticks_used))
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "evaluate", recording_evaluate)
+        search.mu_plus_lambda_run(SearchBudget(mu=20, lam=20, generations=49), decode_cfg, tick_cfg, FitnessConfig(), 2024)
+    shapes = {}
+    for genome, ticks in reversed(evaluated):
+        if ticks >= 80:
+            shapes.setdefault(tuple(apply_observer_bug(decode(genome, decode_cfg))), None)
+    return [(place_shape(WorldState(), list(shape), (0, 0, 0)), tick_cfg) for shape in list(shapes)[:60]]
+
+
+def whole_polls_of(run, world, cfg, max_ticks):
+    """Like `polls_of`, but records every polled world whole: (second, world)."""
+    polls = []  # a copy is a snapshot: blocks, events and pulses hold immutable values
+    final = run(world, cfg, max_ticks, lambda w, second: polls.append((second, w.copy())) or True)
+    return polls, final
+
+
+def assert_same_run(world, cfg, max_ticks):
+    """`run_until` and stepping every tick give equal whole worlds at every
+    poll and at the end."""
+    fast_polls, fast = whole_polls_of(run_until, world, cfg, max_ticks)
+    naive_polls, naive = whole_polls_of(reference_run_until, world, cfg, max_ticks)
+    assert fast_polls == naive_polls
+    assert fast == naive  # blocks, tick, events, pulses, next_seq
+
+
+class TestCycleFastForward:
+    """`run_until` stops stepping at the first repeat of the world's state
+    relative to its tick and jumps whole periods; polls and final worlds must
+    equal stepping every tick."""
+
+    @pytest.mark.parametrize("max_ticks", [200, 213, 199])
+    def test_matches_stepping_every_tick_on_pf_harvest(self, pf_harvest, max_ticks):
+        for world, cfg in pf_harvest:
+            assert_same_run(world, cfg, max_ticks)
+
+    @pytest.mark.parametrize("max_ticks", [1, 7, 40, 199, 200, 213])
+    def test_matches_on_periodic_fixtures(self, max_ticks):
+        for world in periodic_fixtures():
+            assert_same_run(world, CFG, max_ticks)
+
+    def test_fixture_periods(self):
+        # Period 1 with pending events: not a fixed point, yet it cycles.
+        blocked = run_ticks(blocked_powered_piston(), 5)
+        assert blocked.events and not is_fixed_point(blocked)
+        assert first_repeat(blocked, CFG) == (0, 1)
+        assert first_repeat(shuttle(), CFG) == (2, 6)
+        assert first_repeat(run_ticks(shuttle(), 4), CFG) == (0, 6)
+        assert first_repeat(oscillator(), CFG)[1] == 7
+
+    def test_pf_harvest_cycles_above_period_one(self, pf_harvest):
+        # Guards the harvest equivalence test against a vacuous pass.
+        repeats = [first_repeat(world, cfg) for world, cfg in pf_harvest]
+        assert sum(1 for r in repeats if r is not None and r[1] > 1) > len(pf_harvest) // 2
+
+
+class TestAliasing:
+    """No world `run_until` hands out shares the caller's blocks."""
+
+    def test_mutating_handed_out_worlds_leaves_caller_intact(self):
+        settled = make_world({(0, 0, 0): (K.QUARTZ_BLOCK, O.NORTH), (1, 0, 0): (K.REDSTONE_BLOCK, O.NORTH)})
+        assert is_fixed_point(settled)
+        for w in (settled, run_ticks(blocked_powered_piston(), 5), run_ticks(shuttle(), 4)):
+            before = copy.deepcopy(w)
+            polled = []
+            out = run_until(w, CFG, 200, lambda world, second: polled.append(world) or True)
+            out.blocks.clear()
+            for p in polled:
+                p.blocks[(9, 9, 9)] = Block(K.QUARTZ_BLOCK, O.NORTH)
+            run_until(w, CFG, 200, lambda world, second: False).blocks.clear()  # stopped at second 0
+            assert w == before
