@@ -17,7 +17,7 @@ from typing import Optional
 
 from .behavior import ArchiveLayout, Characterization
 from .blocks import BlockSet, Orientation, write_shape_file
-from .fitness import FitnessConfig, evaluate
+from .fitness import FitnessConfig, evaluate_shape
 from .genome import DecodeConfig, Genome, decode, genome_from_line, genome_to_line
 from .search import (
     Archive,
@@ -198,9 +198,6 @@ def run_campaign(cfg: ExperimentConfig) -> CampaignSummary:
     runs_dir = os.path.join(cfg.out_dir, "runs")
     if os.path.isdir(runs_dir):
         shutil.rmtree(runs_dir)
-    with open(os.path.join(cfg.out_dir, "config.txt"), "w") as fh:
-        fh.write(describe_config(cfg))
-
     outcomes: list[RunOutcome] = []
     for i in range(cfg.runs):
         outcome, _log = run_single(cfg, cfg.seed_base + i, os.path.join(runs_dir, _method_dir_name(i)))
@@ -256,34 +253,11 @@ def write_summary(summary: CampaignSummary, out_dir: str) -> None:
             fh.write(f"{i},{outcome.seed},{rounded},{exact},{outcome.best_fitness!r}\n")
 
 
-def describe_config(cfg: ExperimentConfig) -> str:
-    """The settings of a campaign in the CLI's config file format, so that
-    `run --config` with this text repeats the campaign (the output directory
-    is left to `--out`)."""
-    b = cfg.budget
-    lines = [
-        f"method = {cfg.method.value}",
-        f"block_set = {cfg.block_set.value}",
-        f"runs = {cfg.runs}",
-        f"seed = {cfg.seed_base}",
-        f"init_samples = {b.init_samples}",
-        f"evals = {b.offspring}",
-        f"mu = {b.mu}",
-        f"lam = {b.lam}",
-        f"generations = {b.generations}",
-        f"crossover_prob = {b.crossover_prob!r}",
-        f"log_interval = {cfg.log_interval}",
-        f"emulate_observer_bug = {str(cfg.emulate_observer_bug).lower()}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
 def export_shape_file(cfg: ExperimentConfig, archive_dir: str, bin_index: int, out_path: str) -> None:
     """Decode a stored occupant and write it in the shape text format."""
     genome = load_archive_genome(archive_dir, bin_index)
-    decode_cfg = cfg.decode_config()
-    shape = decode(genome, decode_cfg)
-    result = evaluate(genome, decode_cfg, cfg.tick_config(), cfg.fitness_config())
+    shape = decode(genome, cfg.decode_config())
+    result = evaluate_shape(shape, cfg.tick_config(), cfg.fitness_config())
     layout = ArchiveLayout(cfg.method.characterization or Characterization.BLOCK_COUNT)
     header = [
         f"bin {bin_index}",

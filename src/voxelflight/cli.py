@@ -7,8 +7,10 @@ Subcommands:
     export  decode one stored archive occupant (with its manifest's settings) into the shape text format
     replay  re-evaluate a serialized genome and print its result
 
-Any flag may also come from a config file of `key = value` lines (`#` starts
-a comment); command line flags override file values.
+Any `run` flag may also come from a config file of `key = value` lines (`#`
+starts a comment), keyed by the flag's destination; command line flags
+override file values. The `run` parser is the only table of these settings:
+the config reader and the `config.txt` echo are derived from it.
 """
 
 from __future__ import annotations
@@ -27,10 +29,9 @@ from .campaign import (
     load_manifest_config,
     run_campaign,
 )
-from .fitness import FitnessConfig, evaluate
-from .genome import DecodeConfig, genome_from_line
+from .fitness import evaluate
+from .genome import genome_from_line
 from .search import SearchBudget
-from .sim import TickConfig
 from .stats import bonferroni, fisher_exact_2x2
 
 
@@ -48,42 +49,31 @@ def parse_config_file(path: str) -> dict[str, str]:
     return values
 
 
-_CONFIG_KEYS = {
-    "method": str,
-    "block_set": str,
-    "runs": int,
-    "evals": int,
-    "init_samples": int,
-    "mu": int,
-    "lam": int,
-    "generations": int,
-    "crossover_prob": float,
-    "seed": int,
-    "log_interval": int,
-    "emulate_observer_bug": lambda s: s.lower() in ("1", "true", "yes", "on"),
-    "out": str,
-}
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True, "0": False, "false": False, "no": False, "off": False}
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser, list[argparse.Action]]:
+    """The parser, its `run` subparser, and the `run` settings: the one table of their keys, types, choices and defaults."""
     parser = argparse.ArgumentParser(prog="voxelflight", description="Evolve voxel flying machines in a deterministic piston simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run a campaign")
-    run.add_argument("--config", help="config file of key = value lines")
-    run.add_argument("--method", choices=[m.value for m in Method])
-    run.add_argument("--block-set", choices=[b.value for b in BlockSet], dest="block_set")
-    run.add_argument("--runs", type=int)
-    run.add_argument("--evals", type=int, help="offspring budget (PF derives generations as evals/lambda)")
-    run.add_argument("--init-samples", type=int, dest="init_samples")
-    run.add_argument("--mu", type=int)
-    run.add_argument("--lambda", type=int, dest="lam")
-    run.add_argument("--generations", type=int)
-    run.add_argument("--crossover-prob", type=float, dest="crossover_prob")
-    run.add_argument("--seed", type=int)
-    run.add_argument("--log-interval", type=int, dest="log_interval")
-    run.add_argument("--no-observer-bug", action="store_false", dest="emulate_observer_bug", default=None)
-    run.add_argument("--out")
+    settings = [
+        run.add_argument("--config", help="config file of key = value lines"),
+        run.add_argument("--method", choices=[m.value for m in Method], default=Method.ME_PO.value),
+        run.add_argument("--block-set", choices=[b.value for b in BlockSet], dest="block_set", default=BlockSet.OBSERVER.value),
+        run.add_argument("--runs", type=int, default=1),
+        run.add_argument("--evals", type=int, default=60000, help="offspring budget (PF derives generations as evals/lambda)"),
+        run.add_argument("--init-samples", type=int, dest="init_samples", default=100),
+        run.add_argument("--mu", type=int, default=20),
+        run.add_argument("--lambda", type=int, dest="lam", default=20),
+        run.add_argument("--generations", type=int),
+        run.add_argument("--crossover-prob", type=float, dest="crossover_prob", default=0.5),
+        run.add_argument("--seed", type=int, default=0),
+        run.add_argument("--log-interval", type=int, dest="log_interval", default=100),
+        run.add_argument("--no-observer-bug", action="store_false", dest="emulate_observer_bug", default=True),
+        run.add_argument("--out", default="out"),
+    ]
 
     report = sub.add_parser("report", help="summarize a campaign directory (or compare its subdirectories)")
     report.add_argument("--in", dest="in_dir", required=True)
@@ -97,37 +87,25 @@ def _build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--genome", required=True, help="file holding one genome line")
     replay.add_argument("--block-set", choices=[b.value for b in BlockSet], dest="block_set", default=BlockSet.OBSERVER.value)
     replay.add_argument("--no-observer-bug", action="store_false", dest="emulate_observer_bug", default=True)
-    return parser
+    return parser, run, settings
 
 
-def _resolved(args: argparse.Namespace) -> dict:
-    """Merge defaults, config file values, and explicit flags (flags win)."""
-    resolved: dict = {
-        "method": Method.ME_PO.value,
-        "block_set": BlockSet.OBSERVER.value,
-        "runs": 1,
-        "evals": 60000,
-        "init_samples": 100,
-        "mu": 20,
-        "lam": 20,
-        "generations": None,
-        "crossover_prob": 0.5,
-        "seed": 0,
-        "log_interval": 100,
-        "emulate_observer_bug": True,
-        "out": "out",
-    }
-    if getattr(args, "config", None):
-        file_values = parse_config_file(args.config)
-        for key, raw in file_values.items():
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"unknown config key {key!r}")
-            resolved[key] = _CONFIG_KEYS[key](raw)
-    for key in resolved:
-        value = getattr(args, key, None)
-        if value is not None:
-            resolved[key] = value
-    return resolved
+def _config_defaults(path: str, settings: list[argparse.Action]) -> dict:
+    """A config file's values, converted and checked by the `run` flags of the same destination."""
+    actions = {action.dest: action for action in settings if action.dest != "config"}
+    values = {}
+    for key, raw in parse_config_file(path).items():
+        action = actions.get(key)
+        if action is None:
+            raise ValueError(f"{path}: unknown config key {key!r}")
+        try:
+            value = _BOOLEANS[raw.lower()] if isinstance(action.default, bool) else (action.type or str)(raw)
+        except (KeyError, ValueError):
+            raise ValueError(f"{path}: {key}: invalid value {raw!r}") from None
+        if action.choices is not None and value not in action.choices:
+            raise ValueError(f"{path}: {key}: invalid choice {raw!r} (choose from {', '.join(action.choices)})")
+        values[key] = value
+    return values
 
 
 def _experiment_config(values: dict) -> ExperimentConfig:
@@ -166,8 +144,16 @@ def _print_summary(summary: CampaignSummary) -> None:
     print("first flights (rounded up to log interval):", ", ".join(str(v) for v in summary.first_flight_evals))
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = _experiment_config(_resolved(args))
+def _cmd_run(args: argparse.Namespace, settings: list[argparse.Action]) -> int:
+    """Run a campaign and echo its settings to `config.txt`, so that `run --config` repeats it."""
+    cfg = _experiment_config(vars(args))
+    args.generations = cfg.budget.generations
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    with open(os.path.join(cfg.out_dir, "config.txt"), "w") as fh:
+        for action in settings:
+            if action.dest not in ("config", "out"):
+                value = getattr(args, action.dest)
+                fh.write(f"{action.dest} = {str(value).lower() if isinstance(value, bool) else value}\n")
     summary = run_campaign(cfg)
     _print_summary(summary)
     print(f"outputs written to {cfg.out_dir}")
@@ -195,8 +181,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         if os.path.exists(sub):
             rows.append((name, _read_summary_csv(sub)))
     if not rows:
-        print(f"no summary.csv found under {args.in_dir}", file=sys.stderr)
-        return 1
+        raise ValueError(f"no summary.csv found under {args.in_dir}")
     for name, values in rows:
         print(f"{name}: method={values['method']} successes={values['success_count']}/{values['runs']}")
     comparisons = list(combinations(rows, 2))
@@ -225,9 +210,8 @@ def _cmd_export(args: argparse.Namespace) -> int:
 def _cmd_replay(args: argparse.Namespace) -> int:
     with open(args.genome) as fh:
         genome = genome_from_line(fh.read())
-    decode_cfg = DecodeConfig(block_set=BlockSet(args.block_set))
-    tick_cfg = TickConfig(emulate_observer_bug=args.emulate_observer_bug)
-    result = evaluate(genome, decode_cfg, tick_cfg, FitnessConfig())
+    cfg = ExperimentConfig(block_set=BlockSet(args.block_set), emulate_observer_bug=args.emulate_observer_bug)
+    result = evaluate(genome, cfg.decode_config(), cfg.tick_config(), cfg.fitness_config())
     print("fitness,flew,direction,leftover_count,ticks_used")
     print(result.csv_row())
     if result.com_trajectory:
@@ -238,9 +222,15 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser, run, settings = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "run":
+        if args.config:
+            # File values become the flags' defaults; the second parse lets explicit flags win.
+            run.set_defaults(**_config_defaults(args.config, settings))
+            args = parser.parse_args(argv)
+        return _cmd_run(args, settings)
     handlers = {
-        "run": _cmd_run,
         "report": _cmd_report,
         "export": _cmd_export,
         "replay": _cmd_replay,

@@ -285,6 +285,7 @@ class TestCriterion7ArchiveInvariants:
 
 
 class TestCriterion8DeskScaleComparison:
+    @pytest.mark.slow
     def test_criterion_8_desk_scale_comparison(self):
         """5 x 10,000 evaluations of ME.PO and PF on the observer set.
 

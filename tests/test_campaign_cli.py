@@ -31,7 +31,7 @@ from voxelflight.campaign import (
     save_archive,
     summarize,
 )
-from voxelflight.cli import console_main, main, parse_config_file
+from voxelflight.cli import _build_parser, console_main, main, parse_config_file
 
 from helpers import genome_for_shape
 
@@ -296,6 +296,7 @@ class TestCli:
         ["run", "--init-samples", "0"],
         ["export", "--in", "no_such_run", "--bin", "0", "--out", "x.shape"],
         ["run", "--method", "pf", "--lambda", "0", "--evals", "10"],
+        ["report", "--in", "."],
     ])
     def test_user_errors_exit_2_with_one_line(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
@@ -305,6 +306,46 @@ class TestCli:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("voxelflight: error: ")
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("line, message", [
+        ("emulate_observer_bug = flase", "emulate_observer_bug: invalid value 'flase'"),
+        ("runs = abc", "runs: invalid value 'abc'"),
+        ("method = bogus", "method: invalid choice 'bogus' (choose from pf, me-c, me-cn, me-po)"),
+    ], ids=["bool-typo", "int", "choice"])
+    def test_bad_config_value_exits_2_naming_file_and_key(self, tmp_path, monkeypatch, capsys, line, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.cfg").write_text(line + "\n")
+        assert console_main(["run", "--config", "bad.cfg"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"voxelflight: error: bad.cfg: {message}\n"
+        assert os.listdir(tmp_path) == ["bad.cfg"]
+
+    @pytest.mark.parametrize("raw, echoed", [
+        ("1", "true"), ("True", "true"), ("YES", "true"), ("on", "true"),
+        ("0", "false"), ("FALSE", "false"), ("No", "false"), ("oFf", "false"),
+    ])
+    def test_config_booleans_in_any_case(self, tmp_path, raw, echoed):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(f"emulate_observer_bug = {raw}\nruns = 1\nevals = 5\ninit_samples = 5\n")
+        assert main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 0
+        assert f"emulate_observer_bug = {echoed}\n" in (tmp_path / "out" / "config.txt").read_text()
+
+    def test_config_echo_lists_every_run_setting(self, tmp_path):
+        _parser, run, _settings = _build_parser()
+        dests = {action.dest for action in run._actions} - {"help", "config", "out"}
+        main(["run", "--runs", "1", "--evals", "5", "--init-samples", "5", "--out", str(tmp_path / "c")])
+        lines = (tmp_path / "c" / "config.txt").read_text().splitlines()
+        assert sorted(line.split(" = ", 1)[0] for line in lines) == sorted(dests)
+
+    def test_config_file_values_do_not_outlive_their_call(self, tmp_path):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text("method = me-c\nseed = 9\n")
+        budget = ["--runs", "1", "--evals", "5", "--init-samples", "5"]
+        main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "a")] + budget)
+        main(["run", "--out", str(tmp_path / "b")] + budget)
+        echo = (tmp_path / "b" / "config.txt").read_text().splitlines()
+        assert "method = me-po" in echo and "seed = 0" in echo
 
     def test_console_exit_code(self, tmp_path):
         src_dir = os.path.dirname(os.path.dirname(voxelflight.__file__))
