@@ -121,10 +121,10 @@ class Pulse(NamedTuple):
 
 
 class TickEvent(NamedTuple):
-    """A pending piston action, fired in FIFO order of scheduling (seq)."""
+    """A pending piston action. A world's event list is in scheduling order,
+    and events due on the same tick fire in that order."""
 
     due: int
-    seq: int
     action: str  # "extend" | "retract"
     pos: Vec3
     orient: Orientation
@@ -186,10 +186,9 @@ class WorldState:
     tick: int = 0
     events: list[TickEvent] = field(default_factory=list)
     pulses: list[Pulse] = field(default_factory=list)
-    next_seq: int = 0
 
     def copy(self) -> "WorldState":
-        return WorldState(dict(self.blocks), self.tick, list(self.events), list(self.pulses), self.next_seq)
+        return WorldState(dict(self.blocks), self.tick, list(self.events), list(self.pulses))
 
 
 SPAWN_BOX_SIZE = 3

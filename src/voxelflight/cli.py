@@ -8,15 +8,17 @@ Subcommands:
     replay  re-evaluate a serialized genome and print its result
 
 Any `run` flag may also come from a config file of `key = value` lines (`#`
-starts a comment), keyed by the flag's destination; command line flags
-override file values. The `run` parser is the only table of these settings:
-the config reader and the `config.txt` echo are derived from it.
+at the start of a line or after whitespace starts a comment), keyed by the
+flag's destination; a key may appear once. Command line flags override file
+values. The `run` parser is the only table of these settings: the config
+reader and the `config.txt` echo are derived from it.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from itertools import combinations
 
@@ -39,13 +41,16 @@ def parse_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
+            line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()  # `res#2` keeps its `#`
             if not line:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
             key, value = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip().replace("-", "_")
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: key {key!r} given twice")
+            values[key] = value.strip()
     return values
 
 

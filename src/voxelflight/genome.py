@@ -119,7 +119,11 @@ def genome_to_line(genome: Genome) -> str:
 
 
 def genome_from_line(line: str) -> Genome:
+    """Parse a `genome_to_line` line; every value must lie in [0, 1]."""
     values = np.array([float(tok) for tok in line.split()], dtype=float)
     if len(values) == 0 or len(values) % 3 != 0:
         raise LengthError(f"parsed {len(values)} values, expected a positive multiple of 3")
+    outside = values[~((values >= 0.0) & (values <= 1.0))]  # NaN compares false: caught too
+    if len(outside):
+        raise ValueError(f"genome value {float(outside[0])!r} is not in [0, 1]")
     return values

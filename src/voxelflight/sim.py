@@ -199,17 +199,16 @@ def step(world: WorldState, cfg: TickConfig) -> tuple[WorldState, set[Vec3]]:
 
     powered = compute_power(w)
 
-    # Schedule piston state changes. Iterating positions in sorted order makes
-    # sequence numbers (and therefore same-tick firing order) deterministic.
+    # Schedule piston state changes in sorted position order. The event list
+    # is only appended to and filtered, so due events fire in scheduling order.
     for pos in sorted(_out_of_step_pistons(blocks, powered)):
         block = blocks[pos]
         if block.extended:
-            w.events.append(TickEvent(t + cfg.piston_retract_delay, w.next_seq, "retract", pos, block.orient))
+            w.events.append(TickEvent(t + cfg.piston_retract_delay, "retract", pos, block.orient))
         else:
-            w.events.append(TickEvent(t + cfg.piston_extend_delay, w.next_seq, "extend", pos, block.orient))
-        w.next_seq += 1
+            w.events.append(TickEvent(t + cfg.piston_extend_delay, "extend", pos, block.orient))
 
-    due = sorted((e for e in w.events if e.due <= t), key=lambda e: e.seq)
+    due = [e for e in w.events if e.due <= t]
     w.events = [e for e in w.events if e.due > t]
     for event in due:
         block = blocks.get(event.pos)
@@ -266,26 +265,24 @@ def is_fixed_point(world: WorldState) -> bool:
     return not _out_of_step_pistons(world.blocks, compute_power(world))
 
 
-def _moved_forward(world: WorldState, ticks: int, seqs: int) -> WorldState:
+def _moved_forward(world: WorldState, ticks: int) -> WorldState:
     """A copy of `world` later in time: the tick, every event's due tick and
-    every pulse's window move by `ticks`; event sequence numbers and
-    `next_seq` move by `seqs`. `step` only ever reads times and sequence
-    numbers relative to the tick and `next_seq`, so stepping commutes with it."""
+    every pulse's window move by `ticks`. `step` only ever reads times
+    relative to the tick, so stepping commutes with it."""
     return WorldState(
         dict(world.blocks),
         world.tick + ticks,
-        [TickEvent(e.due + ticks, e.seq + seqs, e.action, e.pos, e.orient) for e in world.events],
+        [TickEvent(e.due + ticks, e.action, e.pos, e.orient) for e in world.events],
         [Pulse(p.cell, p.start + ticks, p.end + ticks) for p in world.pulses],
-        world.next_seq + seqs,
     )
 
 
-def _find_cycle(history: list[WorldState], seen: dict[tuple, list[int]]) -> Optional[tuple[int, int, int]]:
+def _find_cycle(history: list[WorldState], seen: dict[tuple, list[int]]) -> Optional[tuple[int, int]]:
     """Register the newest world of `history`; return the cycle it closes, if any.
 
-    A cycle (j, period, seqs) means: from stepped index j on, the world after
+    A cycle (j, period) means: from stepped index j on, the world after
     j + phase + laps*period steps is history[j + phase] moved forward by
-    laps*period ticks and laps*seqs sequence numbers.
+    laps*period ticks.
     A fixed point is a cycle of period 1 that needs no earlier world. Otherwise
     the world closes a cycle when it equals an earlier one moved forward (see
     `_moved_forward`). Candidates are keyed by occupied cells and queue
@@ -294,13 +291,11 @@ def _find_cycle(history: list[WorldState], seen: dict[tuple, list[int]]) -> Opti
     i = len(history) - 1
     world = history[i]
     if is_fixed_point(world):
-        return (i, 1, 0)
+        return (i, 1)
     candidates = seen.setdefault((frozenset(world.blocks), len(world.events), len(world.pulses)), [])
     for j in candidates:
-        earlier = history[j]
-        ticks, seqs = world.tick - earlier.tick, world.next_seq - earlier.next_seq
-        if _moved_forward(earlier, ticks, seqs) == world:
-            return (j, ticks, seqs)
+        if _moved_forward(history[j], i - j) == world:
+            return (j, i - j)
     candidates.append(i)
     return None
 
@@ -340,9 +335,9 @@ def run_until(
             history.append(world)
             cycle = _find_cycle(history, seen)
         if cycle is not None:
-            j, period, seqs = cycle
+            j, period = cycle
             laps, phase = divmod(ticks_done - j, period)
-            world = _moved_forward(history[j + phase], laps * period, laps * seqs)
+            world = _moved_forward(history[j + phase], laps * period)
         if burst < cfg.ticks_per_second:
             break  # partial trailing second is not polled
         second += 1

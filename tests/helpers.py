@@ -26,7 +26,6 @@ def translated(world: WorldState, offset) -> WorldState:
         world.tick,
         [e._replace(pos=add(e.pos, offset)) for e in world.events],
         [p._replace(cell=add(p.cell, offset)) for p in world.pulses],
-        world.next_seq,
     )
 
 

@@ -209,6 +209,16 @@ class TestArchivePersistence:
         assert captured.err == f"voxelflight: error: no occupant stored for bin {bin_index + 1} under {tmp_path / 'archive'}\n"
         assert not out.exists()
 
+    def test_export_of_genome_value_outside_unit_interval_exits_2(self, tmp_path, capsys, fixtures_dir):
+        archive, bin_index, genome, _ = self._flyer_archive(fixtures_dir)
+        save_archive(archive, str(tmp_path / "archive"), tiny_config(tmp_path, runs=1), seed=0)
+        stored = tmp_path / "archive" / "bins" / f"{bin_index}.genome"
+        stored.write_text(genome_to_line(genome).replace("0.25", "-0.25", 1) + "\n")
+        out = tmp_path / "x.shape"
+        assert console_main(["export", "--in", str(tmp_path), "--bin", str(bin_index), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "voxelflight: error: genome value -0.25 is not in [0, 1]\n"
+        assert not out.exists()
+
 
 class TestCli:
     def test_run_and_report(self, tmp_path, capsys):
@@ -249,6 +259,16 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "54.9,true,EAST,1,60" in out
+
+    @pytest.mark.parametrize("value", ["-0.4", "nan"])
+    def test_replay_rejects_genome_values_outside_unit_interval(self, tmp_path, capsys, value):
+        # Decoded, a kind gene of -0.4 would silently pick the block set's second-to-last member.
+        path = tmp_path / "bad.genome"
+        path.write_text(" ".join(["0.9", value] + ["0.25"] * 79) + "\n")
+        assert console_main(["replay", "--genome", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"voxelflight: error: genome value {value} is not in [0, 1]\n"
 
     def test_config_file_and_flag_override(self, tmp_path):
         cfg_file = tmp_path / "exp.cfg"
@@ -320,6 +340,39 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == f"voxelflight: error: bad.cfg: {message}\n"
         assert os.listdir(tmp_path) == ["bad.cfg"]
+
+    @pytest.mark.parametrize("line, parsed", [
+        ("out = res#2", {"out": "res#2"}),
+        ("seed = 3  # note", {"seed": "3"}),
+        ("seed = 3\t# note", {"seed": "3"}),
+        ("# whole-line comment", {}),
+        ("   # indented comment", {}),
+    ])
+    def test_config_hash_starts_a_comment_only_after_whitespace(self, tmp_path, line, parsed):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(line + "\n")
+        assert parse_config_file(str(cfg_file)) == parsed
+
+    def test_config_path_with_hash_is_written_there(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "exp.cfg").write_text("runs = 1\nevals = 5\ninit_samples = 5\nseed = 3  # note\nout = res#2\n")
+        assert console_main(["run", "--config", "exp.cfg"]) == 0
+        assert capsys.readouterr().out.endswith("outputs written to res#2\n")
+        assert "seed = 3\n" in (tmp_path / "res#2" / "config.txt").read_text()
+        assert sorted(os.listdir(tmp_path)) == ["exp.cfg", "res#2"]
+
+    @pytest.mark.parametrize("text, key", [
+        ("seed = 1\nseed = 2\n", "seed"),
+        ("log-interval = 5\nlog_interval = 6\n", "log_interval"),
+    ], ids=["same-spelling", "dash-and-underscore"])
+    def test_config_repeated_key_exits_2(self, tmp_path, monkeypatch, capsys, text, key):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "dup.cfg").write_text(text)
+        assert console_main(["run", "--config", "dup.cfg"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"voxelflight: error: dup.cfg:2: key '{key}' given twice\n"
+        assert os.listdir(tmp_path) == ["dup.cfg"]
 
     @pytest.mark.parametrize("raw, echoed", [
         ("1", "true"), ("True", "true"), ("YES", "true"), ("on", "true"),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -201,3 +203,14 @@ class TestSerialization:
         g = np.array([0.5, 0.25, 1.0])
         line = genome_to_line(g)
         assert line == "0.5 0.25 1"
+
+    def test_bounds_are_accepted(self):
+        assert genome_from_line("0 1 0.5").tolist() == [0.0, 1.0, 0.5]
+
+    @pytest.mark.parametrize("value, named", [
+        ("-0.4", "-0.4"), ("1.5", "1.5"), ("nan", "nan"), ("inf", "inf"), ("-inf", "-inf"),
+    ])
+    def test_values_outside_unit_interval_are_rejected(self, value, named):
+        # A negative type gene would index the block set from its end in `decode`.
+        with pytest.raises(ValueError, match=re.escape(f"genome value {named} is not in [0, 1]")):
+            genome_from_line(f"0.9 {value} 0.25")

@@ -452,7 +452,7 @@ class TestFastForward:
             fast_polls, fast = polls_of(run_until, world, cfg, max_ticks)
             naive_polls, naive = polls_of(reference_run_until, world, cfg, max_ticks)
             assert fast_polls == naive_polls
-            assert fast == naive  # blocks, tick, events, pulses, next_seq
+            assert fast == naive  # blocks, tick, events, pulses
 
     def test_matches_on_fixtures(self, reference_flyer):
         observer_fixture = TestObserverFixture()
@@ -479,8 +479,7 @@ class TestFixedPointSoundness:
                     for _ in range(25):
                         later, moved = step(later, cfg)
                         assert moved == set()
-                        assert (later.blocks, later.events, later.pulses, later.next_seq) == (
-                            world.blocks, world.events, world.pulses, world.next_seq)
+                        assert (later.blocks, later.events, later.pulses) == (world.blocks, world.events, world.pulses)
                     assert is_fixed_point(later)
                     checked += 1
                     break
@@ -531,11 +530,11 @@ class TestPurity:
 
 
 def relative_state(world):
-    """The world's state relative to its tick and next sequence number."""
-    t, n = world.tick, world.next_seq
+    """The world's state relative to its tick."""
+    t = world.tick
     return (
         frozenset(world.blocks.items()),
-        tuple((e.due - t, e.seq - n, e.action, e.pos, e.orient) for e in world.events),
+        tuple((e.due - t, e.action, e.pos, e.orient) for e in world.events),
         tuple((p.cell, p.start - t, p.end - t) for p in world.pulses),
     )
 
@@ -621,7 +620,7 @@ def assert_same_run(world, cfg, max_ticks):
     fast_polls, fast = whole_polls_of(run_until, world, cfg, max_ticks)
     naive_polls, naive = whole_polls_of(reference_run_until, world, cfg, max_ticks)
     assert fast_polls == naive_polls
-    assert fast == naive  # blocks, tick, events, pulses, next_seq
+    assert fast == naive  # blocks, tick, events, pulses
 
 
 class TestCycleFastForward:
