@@ -36,7 +36,10 @@ class EmptyExitLog(ValueError):
 
 @dataclass(frozen=True)
 class FitnessConfig:
-    """Scoring settings. Everything but the flying reward is pinned."""
+    """Scoring settings, all pinned. The worst-case flying score (the reward
+    minus the penalty for every block but `fly_threshold` left behind) must
+    beat any oscillation score a shape confined to the watch region could
+    plausibly accumulate (bounded by eval_seconds * watch-region radius)."""
 
     leftover_penalty: ClassVar[float] = 0.1
     fly_threshold: ClassVar[int] = 6  # strictly more than this many blocks must leave
@@ -44,20 +47,7 @@ class FitnessConfig:
     watch_size: ClassVar[int] = 9
     spawn_box: ClassVar[Box] = Box((0, 0, 0), (SPAWN_BOX_SIZE,) * 3)
     watch_box: ClassVar[Box] = Box.cube((SPAWN_BOX_SIZE // 2,) * 3, watch_size)
-
-    fly_reward: float = 55.0
-
-    def __post_init__(self):
-        # The worst-case flying score must still beat any oscillation score a
-        # shape could plausibly accumulate while confined to the watch region
-        # (bounded here by eval_seconds * watch-region radius).
-        min_fly = self.fly_reward - self.leftover_penalty * (SPAWN_BOX_SIZE**3 - self.fly_threshold)
-        max_oscillation = self.eval_seconds * (self.watch_size // 2)
-        if min_fly <= max_oscillation:
-            raise ValueError(
-                f"fly reward too small: worst flying score {min_fly} does not "
-                f"exceed the oscillation bound {max_oscillation}"
-            )
+    fly_reward: ClassVar[float] = 55.0
 
 
 @dataclass
@@ -136,7 +126,7 @@ def evaluate_shape(shape: list[BlockPlacement], tick_cfg: TickConfig, fit_cfg: F
             trajectory.append(com)
         return not unchanged
 
-    run_until(world, tick_cfg, fit_cfg.eval_seconds * tick_cfg.ticks_per_second, poll)
+    run_until(world, tick_cfg, fit_cfg.eval_seconds, poll)
 
     if state["flew"]:
         fitness = fit_cfg.fly_reward - fit_cfg.leftover_penalty * state["leftover"]

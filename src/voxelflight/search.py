@@ -95,8 +95,8 @@ LOG_COLUMNS = (
 
 @dataclass
 class RunLog:
-    """Snapshot rows taken every `log_interval` evaluations, plus the total
-    number of evaluations recorded.
+    """Snapshot rows taken every `log_interval` evaluations and after the
+    last one, plus the total number of evaluations recorded.
 
     First-flight columns hold the exact evaluation number that first flew in
     that direction, or 0 while none has.
@@ -139,8 +139,9 @@ def _search(
 
     `batches` asks for the next batch only once the previous one has been
     told, so the emitter sees all results so far. Every `log_interval`
-    evaluations the log takes a snapshot of `stats()` (occupied bins, best
-    fitness). The returned log carries the number of evaluations made.
+    evaluations, and after the last one, the log takes a snapshot of
+    `stats()` (occupied bins, best fitness). The returned log carries the
+    number of evaluations made.
     """
     log = RunLog()
     for batch in batches:
@@ -150,6 +151,8 @@ def _search(
             tell(eval_number, genome, result)
             if eval_number % log_interval == 0:
                 log.snapshot(eval_number, *stats())
+    if log.evaluations % log_interval != 0:
+        log.snapshot(log.evaluations, *stats())
     return log
 
 
@@ -204,7 +207,6 @@ def map_elites_run(
 class Individual:
     genome: Genome
     fitness: float
-    result: EvaluationResult
     birth: int  # global birth index; lower is older
 
 
@@ -268,7 +270,7 @@ def mu_plus_lambda_run(
             population = select_survivors(pool, budget.mu)
 
     def tell(eval_number: int, genome: Genome, result: EvaluationResult) -> None:
-        pool.append(Individual(genome, result.fitness, result, eval_number - 1))
+        pool.append(Individual(genome, result.fitness, eval_number - 1))
 
     log = _search(
         ask(), tell, lambda: (budget.mu, max(ind.fitness for ind in pool)), decode_cfg, tick_cfg, fit_cfg, log_interval,

@@ -182,14 +182,6 @@ def _translate_blocks(world: WorldState, cells: set[Vec3], offset: Vec3, moved: 
         moved.add(dest)
 
 
-def _out_of_step_pistons(blocks: dict[Vec3, Block], powered: frozenset[Vec3]) -> list[Vec3]:
-    """Pistons whose extension state differs from their power: each schedules a toggle."""
-    return [
-        pos for pos, b in blocks.items()
-        if (b.kind is _PISTON or b.kind is _STICKY_PISTON) and b.extended != (pos in powered)
-    ]
-
-
 def step(world: WorldState, cfg: TickConfig) -> tuple[WorldState, set[Vec3]]:
     """Advance exactly one tick; returns the new world and the changed cells."""
     w = world.copy()
@@ -199,9 +191,14 @@ def step(world: WorldState, cfg: TickConfig) -> tuple[WorldState, set[Vec3]]:
 
     powered = compute_power(w)
 
-    # Schedule piston state changes in sorted position order. The event list
-    # is only appended to and filtered, so due events fire in scheduling order.
-    for pos in sorted(_out_of_step_pistons(blocks, powered)):
+    # Pistons whose extension state differs from their power schedule a
+    # toggle, in sorted position order. The event list is only appended to
+    # and filtered, so due events fire in scheduling order.
+    out_of_step = [
+        pos for pos, b in blocks.items()
+        if (b.kind is _PISTON or b.kind is _STICKY_PISTON) and b.extended != (pos in powered)
+    ]
+    for pos in sorted(out_of_step):
         block = blocks[pos]
         if block.extended:
             w.events.append(TickEvent(t + cfg.piston_retract_delay, "retract", pos, block.orient))
@@ -252,19 +249,6 @@ def step(world: WorldState, cfg: TickConfig) -> tuple[WorldState, set[Vec3]]:
     return w, moved
 
 
-def is_fixed_point(world: WorldState) -> bool:
-    """True when no later `step` can change anything but the tick.
-
-    That holds when no event is pending, no pulse is scheduled or active, and
-    every piston's extension state already equals its powered state: then a
-    step schedules nothing, fires nothing and moves nothing. All three are
-    needed; an extended piston whose pulse has just expired, for one, retracts.
-    """
-    if world.events or world.pulses:
-        return False
-    return not _out_of_step_pistons(world.blocks, compute_power(world))
-
-
 def _moved_forward(world: WorldState, ticks: int) -> WorldState:
     """A copy of `world` later in time: the tick, every event's due tick and
     every pulse's window move by `ticks`. `step` only ever reads times
@@ -282,16 +266,14 @@ def _find_cycle(history: list[WorldState], seen: dict[tuple, list[int]]) -> Opti
 
     A cycle (j, period) means: from stepped index j on, the world after
     j + phase + laps*period steps is history[j + phase] moved forward by
-    laps*period ticks.
-    A fixed point is a cycle of period 1 that needs no earlier world. Otherwise
-    the world closes a cycle when it equals an earlier one moved forward (see
-    `_moved_forward`). Candidates are keyed by occupied cells and queue
-    lengths, which hash only int tuples; a hit is then compared in full.
+    laps*period ticks. The newest world closes a cycle when it equals an
+    earlier one moved forward (see `_moved_forward`); a settled world is a
+    cycle of period 1, found one step after it settles. Candidates are keyed
+    by occupied cells and queue lengths, which hash only int tuples; a hit
+    is then compared in full.
     """
     i = len(history) - 1
     world = history[i]
-    if is_fixed_point(world):
-        return (i, 1)
     candidates = seen.setdefault((frozenset(world.blocks), len(world.events), len(world.pulses)), [])
     for j in candidates:
         if _moved_forward(history[j], i - j) == world:
@@ -303,44 +285,38 @@ def _find_cycle(history: list[WorldState], seen: dict[tuple, list[int]]) -> Opti
 def run_until(
     world: WorldState,
     cfg: TickConfig,
-    max_ticks: int,
+    seconds: int,
     observer: Callable[[WorldState, int], bool],
 ) -> WorldState:
-    """Step the world, polling `observer(world, seconds)` at every whole second.
+    """Step the world for `seconds` simulated seconds, polling
+    `observer(world, second)` at every whole second.
 
     The callback runs at second 0 before any stepping and may return False to
-    stop early. Stops unconditionally once `max_ticks` ticks have run. Once
-    the world repeats an earlier state relative to its tick (a fixed point,
-    or a cycle; see `_find_cycle`) it is no longer stepped: each later poll,
-    and the returned world, is the stored world of the same phase moved
-    forward by whole periods, exactly what stepping would have produced.
-    The caller's world is never modified, and no world handed out shares
-    its blocks.
+    stop early. Once the world repeats an earlier state relative to its tick
+    (see `_find_cycle`; a settled world repeats with period 1) it is no
+    longer stepped: each later poll, and the returned world, is the stored
+    world of the same phase moved forward by whole periods, exactly what
+    stepping would have produced. The caller's world is never modified, and
+    no world handed out shares its blocks.
     """
-    if max_ticks < 1:
-        raise ValueError("max_ticks must be >= 1")
+    if seconds < 1:
+        raise ValueError("seconds must be >= 1")
     world = world.copy()
     if not observer(world, 0):
         return world
     history = [world]  # history[k]: the world after k steps
     seen: dict[tuple, list[int]] = {}
     cycle = _find_cycle(history, seen)
-    ticks_done = 0
-    second = 0
-    while ticks_done < max_ticks:
-        burst = min(cfg.ticks_per_second, max_ticks - ticks_done)
-        ticks_done += burst
-        while cycle is None and len(history) <= ticks_done:
+    for second in range(1, seconds + 1):
+        tick = second * cfg.ticks_per_second
+        while cycle is None and len(history) <= tick:
             world, _moved = step(world, cfg)
             history.append(world)
             cycle = _find_cycle(history, seen)
         if cycle is not None:
             j, period = cycle
-            laps, phase = divmod(ticks_done - j, period)
+            laps, phase = divmod(tick - j, period)
             world = _moved_forward(history[j + phase], laps * period)
-        if burst < cfg.ticks_per_second:
-            break  # partial trailing second is not polled
-        second += 1
         if not observer(world, second):
             break
     return world

@@ -1,6 +1,6 @@
 import numpy as np
 
-from voxelflight import DecodeConfig, WorldState, step
+from voxelflight import DecodeConfig, TickConfig, WorldState, step
 from voxelflight.blocks import ORIENTATION_ORDER, add
 
 
@@ -29,25 +29,28 @@ def translated(world: WorldState, offset) -> WorldState:
     )
 
 
-def reference_run_until(world, cfg, max_ticks, observer):
+def settled(world: WorldState) -> bool:
+    """True when no later `step` can change anything but the tick: no event
+    is pending, no pulse is scheduled or active, and one step moves no block
+    and schedules nothing."""
+    if world.events or world.pulses:
+        return False
+    after, moved = step(world, TickConfig())
+    return not moved and after.blocks == world.blocks and not after.events and not after.pulses
+
+
+def reference_run_until(world, cfg, seconds, observer):
     """`run_until` without fast-forward: one `step` on every tick.
 
     The reference the real `run_until` must match poll for poll.
     """
-    if max_ticks < 1:
-        raise ValueError("max_ticks must be >= 1")
+    if seconds < 1:
+        raise ValueError("seconds must be >= 1")
     if not observer(world, 0):
         return world
-    ticks_done = 0
-    second = 0
-    while ticks_done < max_ticks:
-        burst = min(cfg.ticks_per_second, max_ticks - ticks_done)
-        for _ in range(burst):
+    for second in range(1, seconds + 1):
+        for _ in range(cfg.ticks_per_second):
             world, _moved = step(world, cfg)
-        ticks_done += burst
-        if burst < cfg.ticks_per_second:
-            break  # partial trailing second is not polled
-        second += 1
         if not observer(world, second):
             break
     return world

@@ -235,6 +235,16 @@ class TestCli:
         assert rc == 0
         assert "success_count" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("budget, total", [
+        (["--method", "me-po", "--init-samples", "10", "--evals", "15", "--log-interval", "10"], 25),
+        (["--method", "pf", "--mu", "4", "--lambda", "3", "--evals", "10", "--log-interval", "7"], 13),
+    ])
+    def test_log_csv_ends_at_the_last_evaluation(self, tmp_path, budget, total):
+        out = tmp_path / "campaign"
+        assert main(["run", "--block-set", "observer", "--runs", "1", "--seed", "2", "--out", str(out)] + budget) == 0
+        rows = (out / "runs" / "run_000" / "log.csv").read_text().strip().splitlines()
+        assert int(rows[-1].split(",")[0]) == total
+
     def test_report_compares_campaigns(self, tmp_path, capsys):
         for i, method in enumerate(("me-po", "pf")):
             main([

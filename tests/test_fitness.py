@@ -19,6 +19,7 @@ from voxelflight import (
     oscillation_fitness,
     random_genome,
 )
+from voxelflight.blocks import SPAWN_BOX_SIZE
 from voxelflight.fitness import EmptyExitLog
 
 K = BlockKind
@@ -38,8 +39,10 @@ class TestConfig:
         assert box.center == (1.0, 1.0, 1.0)
 
     def test_reward_must_dominate_oscillation(self):
-        with pytest.raises(ValueError):
-            FitnessConfig(fly_reward=5.0)
+        # The worst flying score (every block but the threshold left behind)
+        # beats the oscillation bound: eval_seconds * watch-region radius.
+        min_fly = FIT.fly_reward - FIT.leftover_penalty * (SPAWN_BOX_SIZE**3 - FIT.fly_threshold)
+        assert min_fly > FIT.eval_seconds * (FIT.watch_size // 2)
 
 
 class TestOscillationFitness:

@@ -112,6 +112,12 @@ class TestMapElites:
         _, log = map_elites_run(budget, PO, DEC, TICK, FIT, seed=23, log_interval=50)
         assert [row[0] for row in log.rows] == [50, 100, 150]
 
+    def test_log_ends_at_the_last_evaluation(self):
+        budget = tiny_budget(init_samples=10, offspring=15)
+        archive, log = map_elites_run(budget, PO, DEC, TICK, FIT, seed=23, log_interval=10)
+        assert [row[0] for row in log.rows] == [10, 20, 25]
+        assert log.rows[-1][:4] == (log.evaluations, archive.occupied, archive.best_fitness, log.flights)
+
     def test_log_csv_shape(self):
         _, log = map_elites_run(tiny_budget(offspring=40), PO, DEC, TICK, FIT, seed=29)
         lines = log.to_csv().strip().splitlines()
@@ -127,6 +133,11 @@ class TestMuPlusLambda:
         flights_plus = log.rows  # snapshots only at interval multiples
         # 3 + 5*4 = 23 evaluations in total
         assert max((row[0] for row in log.rows), default=0) <= 23
+
+    def test_log_ends_at_the_last_evaluation(self):
+        pop, log = mu_plus_lambda_run(tiny_budget(mu=4, lam=3, generations=3), DEC, TICK, FIT, seed=1, log_interval=7)
+        assert [row[0] for row in log.rows] == [7, 13]
+        assert log.rows[-1][:4] == (log.evaluations, 4, max(ind.fitness for ind in pop), log.flights)
 
     def test_paper_scale_arithmetic(self):
         budget = SearchBudget(mu=20, lam=20, generations=3005)
@@ -154,15 +165,15 @@ class TestMuPlusLambda:
     def test_worse_children_leave_population_unchanged(self):
         from voxelflight.search import Individual, select_survivors
 
-        parents = [Individual(np.zeros(3), 5.0 - i, result_with(5.0 - i), i) for i in range(4)]
-        children = [Individual(np.ones(3), 0.5, result_with(0.5), 4 + i) for i in range(4)]
+        parents = [Individual(np.zeros(3), 5.0 - i, i) for i in range(4)]
+        children = [Individual(np.ones(3), 0.5, 4 + i) for i in range(4)]
         assert select_survivors(parents + children, 4) == parents
 
     def test_tied_children_lose_to_older_parents(self):
         from voxelflight.search import Individual, select_survivors
 
-        parents = [Individual(np.zeros(3), 1.0, result_with(1.0), i) for i in range(3)]
-        clones = [Individual(np.ones(3), 1.0, result_with(1.0), 3 + i) for i in range(3)]
+        parents = [Individual(np.zeros(3), 1.0, i) for i in range(3)]
+        clones = [Individual(np.ones(3), 1.0, 3 + i) for i in range(3)]
         assert select_survivors(parents + clones, 3) == parents
 
     def test_reproducible_from_seed(self):
