@@ -152,10 +152,16 @@ class Box:
 
     min: Vec3
     dims: Vec3
+    # (x0, x1, y0, y1, z0, z1): a cell is inside when x0 <= x < x1, y0 <= y < y1
+    # and z0 <= z < z1. The one definition of membership: `contains` and the
+    # region scans, which unpack it once per call, both read it.
+    bounds: tuple[int, int, int, int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if any(d <= 0 for d in self.dims):
             raise ValueError(f"box dims must be positive, got {self.dims}")
+        (x0, y0, z0), (dx, dy, dz) = self.min, self.dims
+        object.__setattr__(self, "bounds", (x0, x0 + dx, y0, y0 + dy, z0, z0 + dz))
 
     @classmethod
     def cube(cls, center: Vec3, size: int) -> "Box":
@@ -166,9 +172,9 @@ class Box:
         return cls((center[0] - r, center[1] - r, center[2] - r), (size, size, size))
 
     def contains(self, pos: Vec3) -> bool:
-        (x0, y0, z0), (dx, dy, dz) = self.min, self.dims
+        x0, x1, y0, y1, z0, z1 = self.bounds
         x, y, z = pos
-        return x0 <= x < x0 + dx and y0 <= y < y0 + dy and z0 <= z < z0 + dz
+        return x0 <= x < x1 and y0 <= y < y1 and z0 <= z < z1
 
     @property
     def center(self) -> tuple[float, float, float]:
@@ -201,19 +207,22 @@ def place_shape(world: WorldState, shape: Iterable[BlockPlacement], origin: Vec3
     be empty. The tick counter is unchanged; placement generates no events.
     """
     new = world.copy()
+    blocks = new.blocks
     seen: set[Vec3] = set()
-    for p in shape:
-        if p.kind is BlockKind.AIR:
+    ox, oy, oz = origin
+    for pos, kind, orient in shape:
+        if kind is BlockKind.AIR:
             raise ValueError("air is represented by absence, not a placement")
-        if not all(0 <= c < SPAWN_BOX_SIZE for c in p.pos):
-            raise OutOfBoundsError(f"local position {p.pos} outside [0,{SPAWN_BOX_SIZE})^3")
-        if p.pos in seen:
-            raise OverlapError(f"two placements share local position {p.pos}")
-        seen.add(p.pos)
-        target = add(origin, p.pos)
-        if target in new.blocks:
+        x, y, z = pos
+        if not (0 <= x < SPAWN_BOX_SIZE and 0 <= y < SPAWN_BOX_SIZE and 0 <= z < SPAWN_BOX_SIZE):
+            raise OutOfBoundsError(f"local position {pos} outside [0,{SPAWN_BOX_SIZE})^3")
+        if pos in seen:
+            raise OverlapError(f"two placements share local position {pos}")
+        seen.add(pos)
+        target = (ox + x, oy + y, oz + z)
+        if target in blocks:
             raise OverlapError(f"target cell {target} already occupied")
-        new.blocks[target] = Block(p.kind, p.orient)
+        blocks[target] = Block(kind, orient)
     return new
 
 
@@ -222,13 +231,14 @@ def center_of_mass(world: WorldState, region: Box) -> Optional[tuple[float, floa
 
     Returns None when the region holds no blocks.
     """
+    x0, x1, y0, y1, z0, z1 = region.bounds
     sx = sy = sz = 0
     n = 0
-    for pos in world.blocks:
-        if region.contains(pos):
-            sx += pos[0]
-            sy += pos[1]
-            sz += pos[2]
+    for x, y, z in world.blocks:
+        if x0 <= x < x1 and y0 <= y < y1 and z0 <= z < z1:
+            sx += x
+            sy += y
+            sz += z
             n += 1
     if n == 0:
         return None
@@ -237,7 +247,12 @@ def center_of_mass(world: WorldState, region: Box) -> Optional[tuple[float, floa
 
 def count_blocks(world: WorldState, region: Box) -> int:
     """Number of blocks (heads included) with positions inside `region`."""
-    return sum(1 for pos in world.blocks if region.contains(pos))
+    x0, x1, y0, y1, z0, z1 = region.bounds
+    n = 0
+    for x, y, z in world.blocks:
+        if x0 <= x < x1 and y0 <= y < y1 and z0 <= z < z1:
+            n += 1
+    return n
 
 
 # Shape text format: one block per line, `x y z KIND ORIENT`, upper-case

@@ -166,10 +166,19 @@ def _cmd_run(args: argparse.Namespace, settings: list[argparse.Action]) -> int:
 
 
 def _read_summary_csv(path: str) -> dict:
+    """A `summary.csv` row by column name; a missing column or a count that is
+    not a whole number is a `ValueError` naming the file."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         row = fh.readline().strip().split(",")
-    return dict(zip(header, row))
+    values = dict(zip(header, row))
+    missing = [key for key in ("method", "runs", "success_count") if key not in values]
+    if missing:
+        raise ValueError(f"{path}: missing column {', '.join(missing)}")
+    for key in ("runs", "success_count"):
+        if not values[key].isdigit():
+            raise ValueError(f"{path}: {key} {values[key]!r} is not a count")
+    return values
 
 
 def _cmd_report(args: argparse.Namespace) -> int:

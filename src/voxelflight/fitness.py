@@ -111,11 +111,12 @@ def evaluate_shape(shape: list[BlockPlacement], tick_cfg: TickConfig, fit_cfg: F
 
     def poll(world: WorldState, second: int) -> bool:
         state["done_tick"] = world.tick
-        left = sorted(pos for pos in world.blocks if pos not in logged_exits and not watch.contains(pos))
-        logged_exits.update(left)
-        exit_log.extend((pos, world.tick) for pos in left)
         com = center_of_mass(world, watch)
         inside = count_blocks(world, watch)
+        if inside < len(world.blocks):  # with every block inside, none can have newly left
+            left = sorted(pos for pos in world.blocks if pos not in logged_exits and not watch.contains(pos))
+            logged_exits.update(left)
+            exit_log.extend((pos, world.tick) for pos in left)
         if placed - inside > fit_cfg.fly_threshold:
             state["flew"] = True
             state["leftover"] = inside

@@ -45,20 +45,25 @@ class DecodeConfig:
         return (x, y, z)
 
 
+# Cell of each gene triple, in genome order; `cell_for_index` defines the order.
+_CELLS = tuple(DecodeConfig().cell_for_index(i) for i in range(DecodeConfig.volume))
+
+
 def decode(genome: Genome, cfg: DecodeConfig) -> list[BlockPlacement]:
     """Turn a genome into block placements in deterministic cell order."""
     if len(genome) != cfg.genome_length:
         raise LengthMismatchError(f"expected length {cfg.genome_length}, got {len(genome)}")
+    # Python floats hold the same doubles as the array, without numpy's per-element boxing.
+    genes = genome.tolist()
     members = cfg.block_set.members
     k = len(members)
     shape: list[BlockPlacement] = []
-    for i in range(cfg.volume):
-        presence, kind_gene, orient_gene = genome[3 * i : 3 * i + 3]
+    for cell, presence, kind_gene, orient_gene in zip(_CELLS, genes[0::3], genes[1::3], genes[2::3]):
         if presence <= PRESENCE_THRESHOLD:
             continue
         kind = members[min(int(kind_gene * k), k - 1)]
         orient = ORIENTATION_ORDER[min(int(orient_gene * 6), 5)]
-        shape.append(BlockPlacement(cfg.cell_for_index(i), kind, orient))
+        shape.append(BlockPlacement(cell, kind, orient))
     return shape
 
 

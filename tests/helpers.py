@@ -1,7 +1,8 @@
 import numpy as np
 
-from voxelflight import DecodeConfig, TickConfig, WorldState, step
+from voxelflight import BlockPlacement, DecodeConfig, TickConfig, WorldState, step
 from voxelflight.blocks import ORIENTATION_ORDER, add
+from voxelflight.genome import PRESENCE_THRESHOLD
 
 
 def genome_for_shape(shape, cfg: DecodeConfig):
@@ -17,6 +18,22 @@ def genome_for_shape(shape, cfg: DecodeConfig):
             g[3 * i + 1] = (members.index(p.kind) + 0.5) / len(members)
             g[3 * i + 2] = (ORIENTATION_ORDER.index(p.orient) + 0.5) / 6
     return g
+
+
+def reference_decode(genome, cfg: DecodeConfig):
+    """The decode rule cell by cell on the numpy array: each gene triple is an
+    array slice and each gene a numpy scalar. `decode` must equal it exactly."""
+    members = cfg.block_set.members
+    k = len(members)
+    shape = []
+    for i in range(cfg.volume):
+        presence, kind_gene, orient_gene = genome[3 * i : 3 * i + 3]
+        if presence <= PRESENCE_THRESHOLD:
+            continue
+        kind = members[min(int(kind_gene * k), k - 1)]
+        orient = ORIENTATION_ORDER[min(int(orient_gene * 6), 5)]
+        shape.append(BlockPlacement(cfg.cell_for_index(i), kind, orient))
+    return shape
 
 
 def translated(world: WorldState, offset) -> WorldState:

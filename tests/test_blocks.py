@@ -1,3 +1,6 @@
+import itertools
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,6 +13,7 @@ from voxelflight import (
     OutOfBoundsError,
     OverlapError,
     WorldState,
+    FitnessConfig,
     center_of_mass,
     count_blocks,
     format_shape,
@@ -84,6 +88,12 @@ class TestPlaceShape:
         with pytest.raises(OutOfBoundsError):
             place_shape(WorldState(), [BlockPlacement((3, 0, 0), Q, N)], (0, 0, 0))
 
+    @pytest.mark.parametrize("pos", [(-1, 0, 0), (0, -1, 0), (0, 0, -1), (3, 0, 0), (0, 3, 0), (0, 0, 3)])
+    def test_out_of_bounds_on_every_side(self, pos):
+        place_shape(WorldState(), [BlockPlacement((2, 2, 2), Q, N), BlockPlacement((0, 0, 0), Q, N)], (0, 0, 0))  # corners fit
+        with pytest.raises(OutOfBoundsError):
+            place_shape(WorldState(), [BlockPlacement(pos, Q, N)], (0, 0, 0))
+
     def test_air_rejected(self):
         with pytest.raises(ValueError):
             place_shape(WorldState(), [BlockPlacement((0, 0, 0), BlockKind.AIR, N)], (0, 0, 0))
@@ -132,6 +142,42 @@ class TestCountBlocks:
         clipped = Box((0, 0, 0), (3, 3, 2))  # drops the z=2 plane: 9 blocks
         assert count_blocks(w, region) == 27
         assert count_blocks(w, clipped) == 18
+
+
+def face_cells(region: Box) -> list[tuple[int, ...]]:
+    """Per axis: one cell outside, on and inside each face of `region`, the
+    middle, and a far cell on each side."""
+    per_axis = []
+    for lo, d in zip(region.min, region.dims):
+        hi = lo + d  # first cell past the upper face
+        per_axis.append(sorted({lo - 9, lo - 1, lo, lo + 1, lo + d // 2, hi - 2, hi - 1, hi, hi + 9}))
+    return per_axis
+
+
+class TestRegionScansMatchContains:
+    REGIONS = [FitnessConfig.watch_box, FitnessConfig.spawn_box, Box((-2, 5, 0), (1, 4, 7))]
+
+    @pytest.mark.parametrize("region", REGIONS, ids=["watch", "spawn", "uneven"])
+    def test_contains_is_the_half_open_box(self, region):
+        for cell in itertools.product(*face_cells(region)):
+            inside = all(lo <= c < lo + d for c, lo, d in zip(cell, region.min, region.dims))
+            assert region.contains(cell) == inside
+
+    @pytest.mark.parametrize("region", REGIONS, ids=["watch", "spawn", "uneven"])
+    def test_scans_equal_a_contains_reference(self, region):
+        rng = np.random.default_rng(3)
+        cells = list(itertools.product(*face_cells(region)))
+        seen_in = seen_out = 0
+        for _ in range(300):
+            picks = rng.choice(len(cells), size=int(rng.integers(0, 40)), replace=False)
+            w = world_with(*(cells[i] for i in picks))
+            inside = [pos for pos in w.blocks if region.contains(pos)]
+            expected_com = tuple(sum(p[a] for p in inside) / len(inside) for a in range(3)) if inside else None
+            assert count_blocks(w, region) == len(inside)
+            assert center_of_mass(w, region) == expected_com
+            seen_in += len(inside)
+            seen_out += len(w.blocks) - len(inside)
+        assert seen_in > 0 and seen_out > 0
 
 
 class TestShapeText:

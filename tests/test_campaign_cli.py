@@ -337,6 +337,21 @@ class TestCli:
         assert captured.err.startswith("voxelflight: error: ")
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("text, message", [
+        ("method,runs\nx,1\n", "missing column success_count"),
+        ("method,runs,success_count\nx,1,many\n", "success_count 'many' is not a count"),
+    ], ids=["missing-column", "not-a-count"])
+    def test_report_of_malformed_summary_exits_2_naming_it(self, tmp_path, capsys, text, message):
+        # The malformed-summary case of test_user_errors_exit_2_with_one_line;
+        # it needs a file on disk, which that test's empty directory cannot hold.
+        (tmp_path / "a").mkdir()
+        (tmp_path / "a" / "summary.csv").write_text(text)
+        assert console_main(["report", "--in", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"voxelflight: error: {tmp_path / 'a' / 'summary.csv'}: {message}\n"
+        assert not (tmp_path / "comparisons.csv").exists()
+
     @pytest.mark.parametrize("line, message", [
         ("emulate_observer_bug = flase", "emulate_observer_bug: invalid value 'flase'"),
         ("runs = abc", "runs: invalid value 'abc'"),

@@ -1,9 +1,12 @@
+import enum
 import math
 
 import numpy as np
 import pytest
 
+import voxelflight.fitness
 from voxelflight import (
+    Block,
     BlockKind,
     BlockPlacement,
     BlockSet,
@@ -12,6 +15,7 @@ from voxelflight import (
     FitnessConfig,
     Orientation,
     TickConfig,
+    WorldState,
     classify_direction,
     decode,
     evaluate,
@@ -156,6 +160,72 @@ class TestEvaluate:
         shape = [BlockPlacement((1, 1, 1), K.OBSERVER, O.UP)]
         result = evaluate_shape(shape, TICK, FIT)
         assert result.flew is False  # total evaluation, no crash
+
+    def test_exit_log_when_blocks_leave(self, reference_flyer):
+        result = evaluate_shape(reference_flyer, TICK, FIT)
+        # Logged over two polls; the second skips the three cells logged at tick 40.
+        assert result.exit_log == [
+            ((6, 0, 0), 40), ((6, 1, 0), 40), ((6, 1, 1), 40),
+            ((7, 0, 0), 60), ((7, 0, 1), 60), ((7, 0, 2), 60), ((7, 1, 0), 60), ((7, 1, 1), 60),
+            ((7, 1, 2), 60), ((8, 0, 0), 60), ((8, 1, 0), 60), ((8, 1, 1), 60),
+        ]
+
+    def test_exit_log_when_every_block_stays_inside(self):
+        shape = [
+            BlockPlacement((0, 1, 1), K.PISTON, O.EAST),
+            BlockPlacement((1, 1, 1), K.REDSTONE_BLOCK, O.NORTH),
+            BlockPlacement((2, 1, 1), K.STICKY_PISTON, O.WEST),
+        ]
+        result = evaluate_shape(shape, TICK, FIT)
+        assert result.ticks_used > TICK.ticks_per_second  # polled while moving
+        assert result.exit_log == []
+
+    def test_exit_log_records_each_cell_once_as_it_leaves(self, monkeypatch):
+        # The poll sees these worlds, one per second: one block leaves (x = 6 is
+        # past the watch box's upper face), a second leaves through the lower
+        # y face, then both come back and a block leaves again from a logged cell.
+        worlds = [
+            [(0, 0, 0), (1, 0, 0), (2, 0, 0)],
+            [(0, 0, 0), (1, 0, 0), (6, 0, 0)],
+            [(0, -4, 0), (1, 0, 0), (6, 0, 0)],
+            [(0, 0, 0), (1, 0, 0), (5, 0, 0)],
+            [(0, 0, 0), (1, 1, 0), (6, 0, 0)],
+            [(0, 0, 0), (1, 1, 0), (2, 0, -4)],
+        ]
+
+        def scripted_run_until(world, cfg, seconds, observer):
+            for second, cells in enumerate(worlds):
+                world = WorldState({c: Block(K.QUARTZ_BLOCK, O.NORTH) for c in cells}, second * cfg.ticks_per_second)
+                if not observer(world, second):
+                    break
+            return world
+
+        monkeypatch.setattr(voxelflight.fitness, "run_until", scripted_run_until)
+        shape = [BlockPlacement((x, 0, 0), K.QUARTZ_BLOCK, O.NORTH) for x in range(3)]
+        result = evaluate_shape(shape, TICK, FIT)
+        assert result.ticks_used == 100
+        assert result.exit_log == [((6, 0, 0), 20), ((0, -4, 0), 40), ((2, 0, -4), 100)]
+
+    def test_evaluation_hashes_no_enum(self, monkeypatch):
+        # Membership tests in the simulator and the poll key on int tuples;
+        # an Enum hash there is a Python-level call per block per tick.
+        calls = []
+        original = enum.Enum.__hash__
+
+        def counting_hash(member):
+            calls.append(member)
+            return original(member)
+
+        monkeypatch.setattr(enum.Enum, "__hash__", counting_hash)
+        hash(K.AIR)
+        assert calls == [K.AIR]  # the counter sees hashes of this package's Enums
+        calls.clear()
+        rng = np.random.default_rng(29)
+        for block_set in BlockSet:
+            cfg = DecodeConfig(block_set=block_set)
+            for _ in range(100):
+                evaluate(random_genome(rng, cfg.genome_length), cfg, TICK, FIT)
+        assert calls == []
 
     def test_csv_row(self):
         result = EvaluationResult(54.9, True, O.EAST, [], 1, 60)

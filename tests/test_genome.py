@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -19,6 +20,8 @@ from voxelflight import (
     polynomial_mutate,
     random_genome,
 )
+
+from helpers import reference_decode
 
 CFG_ORIG = DecodeConfig(block_set=BlockSet.ORIGINAL)
 CFG_OBS = DecodeConfig(block_set=BlockSet.OBSERVER)
@@ -94,6 +97,39 @@ class TestDecode:
         rng = np.random.default_rng(5)
         g = random_genome(rng, 81)
         assert decode(g, CFG_OBS) == decode(g, CFG_OBS)
+
+
+def boundary_genes() -> list[float]:
+    """0, 1, the presence threshold and the float above it, every split point
+    of the k-way kind and 6-way orientation intervals, and the float just below
+    each of these."""
+    points = {0.0, 0.5, float(np.nextafter(0.5, 1.0)), 1.0}
+    for k in {len(CFG_ORIG.block_set.members), len(CFG_OBS.block_set.members), 6}:
+        points.update(j / k for j in range(1, k))
+    points.update(float(np.nextafter(p, 0.0)) for p in list(points) if p > 0.0)
+    return sorted(points)
+
+
+@pytest.mark.parametrize("cfg", [CFG_ORIG, CFG_OBS], ids=["original", "observer"])
+class TestDecodeMatchesReference:
+    def test_random_genomes(self, cfg):
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            g = random_genome(rng, cfg.genome_length)
+            assert decode(g, cfg) == reference_decode(g, cfg)
+
+    def test_boundary_genes(self, cfg):
+        triples = list(itertools.product(boundary_genes(), repeat=3))
+        kinds, orients = set(), set()
+        for start in range(0, len(triples), cfg.volume):
+            g = genome_with_triples(triples[start : start + cfg.volume])
+            expected = reference_decode(g, cfg)
+            assert decode(g, cfg) == expected
+            kinds.update(p.kind for p in expected)
+            orients.update(p.orient for p in expected)
+        # The genes reach every interval, so each split point is crossed.
+        assert kinds == set(cfg.block_set.members)
+        assert orients == set(Orientation)
 
 
 class TestRandomGenome:
