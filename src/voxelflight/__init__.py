@@ -33,7 +33,6 @@ from .blocks import (
     format_shape,
     parse_shape,
     place_shape,
-    read_shape_file,
     write_shape_file,
 )
 from .campaign import (

@@ -65,15 +65,8 @@ Orientation.EAST.opposite, Orientation.WEST.opposite = Orientation.WEST, Orienta
 Orientation.UP.opposite, Orientation.DOWN.opposite = Orientation.DOWN, Orientation.UP
 
 
-# Fixed order used by the genome decoder and by direction tie-breaking.
-ORIENTATION_ORDER: tuple[Orientation, ...] = (
-    Orientation.NORTH,
-    Orientation.SOUTH,
-    Orientation.EAST,
-    Orientation.WEST,
-    Orientation.UP,
-    Orientation.DOWN,
-)
+# Fixed order used by the genome decoder and by direction tie-breaking: the declaration order.
+ORIENTATION_ORDER: tuple[Orientation, ...] = tuple(Orientation)
 
 
 class BlockSet(Enum):
@@ -288,8 +281,3 @@ def parse_shape(text: str) -> list[BlockPlacement]:
 def write_shape_file(path, shape: Iterable[BlockPlacement], header: Iterable[str] = ()) -> None:
     with open(path, "w") as fh:
         fh.write(format_shape(shape, header))
-
-
-def read_shape_file(path) -> list[BlockPlacement]:
-    with open(path) as fh:
-        return parse_shape(fh.read())

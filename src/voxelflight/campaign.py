@@ -127,8 +127,8 @@ def save_archive(archive: Archive, path: str, cfg: ExperimentConfig, seed: int) 
     ]
     for index in sorted(archive.bins):
         entry = archive.bins[index]
-        direction = entry.result.direction.name if entry.result.direction else ""
-        lines.append(f"bin {index} {entry.fitness!r} {entry.discovered_eval} {str(entry.result.flew).lower()} {direction}")
+        direction = entry.direction.name if entry.direction else ""
+        lines.append(f"bin {index} {entry.fitness!r} {entry.discovered_eval} {str(entry.flew).lower()} {direction}")
         with open(os.path.join(bins_dir, f"{index}.genome"), "w") as fh:
             fh.write(genome_to_line(entry.genome) + "\n")
     with open(os.path.join(path, "manifest.txt"), "w") as fh:
@@ -136,14 +136,29 @@ def save_archive(archive: Archive, path: str, cfg: ExperimentConfig, seed: int) 
 
 
 def load_manifest_config(path: str) -> ExperimentConfig:
-    """The method, block set and observer-bug setting an archive was made with."""
-    with open(os.path.join(path, "manifest.txt")) as fh:
+    """The method, block set and observer-bug setting an archive was made with.
+
+    A missing or unknown setting, or a method without an archive layout, is a
+    `ValueError` naming the manifest and the key.
+    """
+    manifest = os.path.join(path, "manifest.txt")
+    with open(manifest) as fh:
         values = dict(line.split(" = ", 1) for line in fh.read().splitlines() if " = " in line)
-    try:
-        bug = {"true": True, "false": False}[values["emulate_observer_bug"]]
-        return ExperimentConfig(method=Method(values["method"]), block_set=BlockSet(values["block_set"]), emulate_observer_bug=bug)
-    except KeyError as exc:
-        raise ValueError(f"{path}/manifest.txt: missing or bad setting {exc}") from None
+
+    def setting(key: str, parse):
+        if key not in values:
+            raise ValueError(f"{manifest}: missing setting {key}")
+        try:
+            return parse(values[key])
+        except (KeyError, ValueError):
+            raise ValueError(f"{manifest}: {key}: invalid value {values[key]!r}") from None
+
+    method = setting("method", Method)
+    if method.characterization is None:
+        raise ValueError(f"{manifest}: method: {method.value!r} has no archive layout")
+    block_set = setting("block_set", BlockSet)
+    bug = setting("emulate_observer_bug", {"true": True, "false": False}.__getitem__)
+    return ExperimentConfig(method=method, block_set=block_set, emulate_observer_bug=bug)
 
 
 def load_archive_genome(path: str, bin_index: int) -> Genome:
@@ -161,31 +176,27 @@ def save_population(population: Population, path: str) -> None:
             fh.write(f"{ind.fitness!r} {genome_to_line(ind.genome)}\n")
 
 
-def run_single(cfg: ExperimentConfig, seed: int, run_dir: Optional[str] = None) -> tuple[RunOutcome, RunLog]:
-    """One search run; writes log.csv plus an archive or population snapshot."""
+def run_single(cfg: ExperimentConfig, seed: int, run_dir: str) -> tuple[RunOutcome, RunLog]:
+    """One search run; writes log.csv plus an archive or population snapshot under `run_dir`."""
     decode_cfg = cfg.decode_config()
     tick_cfg = cfg.tick_config()
     fit_cfg = cfg.fitness_config()
+    os.makedirs(run_dir, exist_ok=True)
     if cfg.method is Method.PF:
         population, log = mu_plus_lambda_run(
             cfg.budget, decode_cfg, tick_cfg, fit_cfg, seed, log_interval=cfg.log_interval,
         )
         best = max(ind.fitness for ind in population)
-        if run_dir is not None:
-            os.makedirs(run_dir, exist_ok=True)
-            save_population(population, os.path.join(run_dir, "population.txt"))
+        save_population(population, os.path.join(run_dir, "population.txt"))
     else:
         layout = ArchiveLayout(cfg.method.characterization)
         archive, log = map_elites_run(
             cfg.budget, layout, decode_cfg, tick_cfg, fit_cfg, seed, log_interval=cfg.log_interval,
         )
         best = archive.best_fitness
-        if run_dir is not None:
-            os.makedirs(run_dir, exist_ok=True)
-            save_archive(archive, os.path.join(run_dir, "archive"), cfg, seed)
-    if run_dir is not None:
-        with open(os.path.join(run_dir, "log.csv"), "w") as fh:
-            fh.write(log.to_csv())
+        save_archive(archive, os.path.join(run_dir, "archive"), cfg, seed)
+    with open(os.path.join(run_dir, "log.csv"), "w") as fh:
+        fh.write(log.to_csv())
     first = min(log.first_flights.values()) if log.first_flights else None
     directions = tuple(sorted(o.name for o in log.first_flights))
     outcome = RunOutcome(seed, bool(log.first_flights), first, directions, best, log.evaluations)
@@ -258,7 +269,7 @@ def export_shape_file(cfg: ExperimentConfig, archive_dir: str, bin_index: int, o
     genome = load_archive_genome(archive_dir, bin_index)
     shape = decode(genome, cfg.decode_config())
     result = evaluate_shape(shape, cfg.tick_config(), cfg.fitness_config())
-    layout = ArchiveLayout(cfg.method.characterization or Characterization.BLOCK_COUNT)
+    layout = ArchiveLayout(cfg.method.characterization)
     header = [
         f"bin {bin_index}",
         f"fitness {result.fitness!r}",

@@ -105,35 +105,35 @@ def evaluate_shape(shape: list[BlockPlacement], tick_cfg: TickConfig, fit_cfg: F
     watch = fit_cfg.watch_box
     placed = len(shape)
     trajectory: list[tuple[float, float, float]] = []
-    exit_log: list[tuple[Vec3, int]] = []
-    logged_exits: set[Vec3] = set()
-    state = {"flew": False, "leftover": 0, "done_tick": 0, "last_com": None}
+    exits: dict[Vec3, int] = {}  # cell -> tick of the poll that first saw it outside, in logging order
+    flew = False
+    leftover = 0
+    last_com = None
 
     def poll(world: WorldState, second: int) -> bool:
-        state["done_tick"] = world.tick
+        nonlocal flew, leftover, last_com
         com = center_of_mass(world, watch)
         inside = count_blocks(world, watch)
         if inside < len(world.blocks):  # with every block inside, none can have newly left
-            left = sorted(pos for pos in world.blocks if pos not in logged_exits and not watch.contains(pos))
-            logged_exits.update(left)
-            exit_log.extend((pos, world.tick) for pos in left)
+            for pos in sorted(pos for pos in world.blocks if pos not in exits and not watch.contains(pos)):
+                exits[pos] = world.tick
         if placed - inside > fit_cfg.fly_threshold:
-            state["flew"] = True
-            state["leftover"] = inside
+            flew = True
+            leftover = inside
             return False
-        unchanged = second > 0 and com == state["last_com"]
-        state["last_com"] = com
+        unchanged = second > 0 and com == last_com
+        last_com = com
         if com is not None:
             trajectory.append(com)
         return not unchanged
 
-    run_until(world, tick_cfg, fit_cfg.eval_seconds, poll)
-
-    if state["flew"]:
-        fitness = fit_cfg.fly_reward - fit_cfg.leftover_penalty * state["leftover"]
+    ticks_used = run_until(world, tick_cfg, fit_cfg.eval_seconds, poll).tick
+    exit_log = list(exits.items())
+    if flew:
+        fitness = fit_cfg.fly_reward - fit_cfg.leftover_penalty * leftover
         direction = classify_direction(exit_log, watch.center)
-        return EvaluationResult(fitness, True, direction, trajectory, state["leftover"], state["done_tick"], exit_log)
-    return EvaluationResult(oscillation_fitness(trajectory), False, None, trajectory, 0, state["done_tick"], exit_log)
+        return EvaluationResult(fitness, True, direction, trajectory, leftover, ticks_used, exit_log)
+    return EvaluationResult(oscillation_fitness(trajectory), False, None, trajectory, 0, ticks_used, exit_log)
 
 
 def evaluate(genome: Genome, decode_cfg: DecodeConfig, tick_cfg: TickConfig, fit_cfg: FitnessConfig) -> EvaluationResult:

@@ -20,6 +20,10 @@ Genome = np.ndarray
 
 PRESENCE_THRESHOLD = 0.5
 
+# Polynomial mutation: the per-gene rate and the distribution index every search uses.
+MUTATION_RATE = 0.3
+MUTATION_ETA = 20.0
+
 
 class LengthError(ValueError):
     """Genome length is not a positive multiple of 3."""
@@ -76,8 +80,8 @@ def random_genome(rng: np.random.Generator, length: int) -> Genome:
 def polynomial_mutate(
     genome: Genome,
     rng: np.random.Generator,
-    per_gene_rate: float = 0.3,
-    eta: float = 20.0,
+    per_gene_rate: float = MUTATION_RATE,
+    eta: float = MUTATION_ETA,
 ) -> Genome:
     """Bounded polynomial mutation on [0,1], applied gene-wise.
 

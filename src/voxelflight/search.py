@@ -11,7 +11,7 @@ strictly sequentially, and evaluation consumes none of it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -24,9 +24,6 @@ from .sim import TickConfig
 # MAP-Elites emits offspring in batches of this size; parents within a batch
 # all come from the archive as of the batch start.
 EVAL_BATCH = 10
-
-MUTATION_RATE = 0.3
-MUTATION_ETA = 20.0
 
 
 @dataclass(frozen=True)
@@ -49,7 +46,8 @@ class SearchBudget:
 class BinEntry:
     genome: Genome
     fitness: float
-    result: EvaluationResult
+    flew: bool
+    direction: Optional[Orientation]
     discovered_eval: int
 
 
@@ -66,7 +64,7 @@ class Archive:
         incumbent = self.bins.get(bin_index)
         if incumbent is not None and result.fitness <= incumbent.fitness:
             return False
-        self.bins[bin_index] = BinEntry(genome.copy(), result.fitness, result, self.evaluations)
+        self.bins[bin_index] = BinEntry(genome.copy(), result.fitness, result.flew, result.direction, self.evaluations)
         self.history.append((self.evaluations, bin_index, result.fitness))
         return True
 
@@ -79,18 +77,13 @@ class Archive:
         return len(self.bins)
 
 
+# The first-flight columns follow `Orientation`, as `RunLog.snapshot` does.
 LOG_COLUMNS = (
     "evaluations",
     "occupied_bins",
     "best_fitness",
     "flights",
-    "first_flight_north",
-    "first_flight_south",
-    "first_flight_east",
-    "first_flight_west",
-    "first_flight_up",
-    "first_flight_down",
-)
+) + tuple(f"first_flight_{o.name.lower()}" for o in Orientation)
 
 
 @dataclass
@@ -165,8 +158,6 @@ def map_elites_run(
     seed: int,
     workers: int = 1,
     log_interval: int = 100,
-    mutation_rate: float = MUTATION_RATE,
-    mutation_eta: float = MUTATION_ETA,
 ) -> tuple[Archive, RunLog]:
     """Illuminate the behavior space: one elite per bin, uniform bin sampling.
 
@@ -190,7 +181,7 @@ def map_elites_run(
                     child = crossover(first, second, rng)
                 else:
                     child = archive.bins[occupied[rng.integers(len(occupied))]].genome.copy()
-                batch.append(polynomial_mutate(child, rng, mutation_rate, mutation_eta))
+                batch.append(polynomial_mutate(child, rng))
             yield batch
 
     def tell(eval_number: int, genome: Genome, result: EvaluationResult) -> None:
@@ -237,8 +228,6 @@ def mu_plus_lambda_run(
     seed: int,
     workers: int = 1,
     log_interval: int = 100,
-    mutation_rate: float = MUTATION_RATE,
-    mutation_eta: float = MUTATION_ETA,
 ) -> tuple[Population, RunLog]:
     """Elitist (mu+lambda) evolution on raw fitness.
 
@@ -264,7 +253,7 @@ def mu_plus_lambda_run(
                     child = crossover(parent.genome, partner.genome, rng)
                 else:
                     child = parent.genome.copy()
-                children.append(polynomial_mutate(child, rng, mutation_rate, mutation_eta))
+                children.append(polynomial_mutate(child, rng))
             pool = list(population)
             yield children
             population = select_survivors(pool, budget.mu)

@@ -292,12 +292,13 @@ def run_until(
     `observer(world, second)` at every whole second.
 
     The callback runs at second 0 before any stepping and may return False to
-    stop early. Once the world repeats an earlier state relative to its tick
-    (see `_find_cycle`; a settled world repeats with period 1) it is no
-    longer stepped: each later poll, and the returned world, is the stored
-    world of the same phase moved forward by whole periods, exactly what
-    stepping would have produced. The caller's world is never modified, and
-    no world handed out shares its blocks.
+    stop early. The returned world is the one it polled last. Once the world
+    repeats an earlier state relative to its tick (see `_find_cycle`; a
+    settled world repeats with period 1) it is no longer stepped: each later
+    poll, and the returned world, is the stored world of the same phase moved
+    forward by whole periods, exactly what stepping would have produced. The
+    caller's world is never modified, and no world handed out shares its
+    blocks.
     """
     if seconds < 1:
         raise ValueError("seconds must be >= 1")

@@ -2,14 +2,15 @@ import os
 
 import pytest
 
-from voxelflight import read_shape_file
+from voxelflight import parse_shape
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 @pytest.fixture
 def reference_flyer():
-    return read_shape_file(os.path.join(FIXTURES, "reference_flyer.shape"))
+    with open(os.path.join(FIXTURES, "reference_flyer.shape")) as fh:
+        return parse_shape(fh.read())
 
 
 @pytest.fixture

@@ -20,7 +20,6 @@ from voxelflight import (
     evaluate,
     genome_to_line,
     parse_shape,
-    read_shape_file,
     run_campaign,
 )
 from voxelflight.campaign import (
@@ -110,7 +109,7 @@ class TestCampaign:
         assert round_up_to_interval(1, 100) == 100
 
     @pytest.mark.parametrize("method", [Method.ME_PO, Method.PF])
-    def test_outcome_counts_every_evaluation(self, method, monkeypatch):
+    def test_outcome_counts_every_evaluation(self, method, monkeypatch, tmp_path):
         import voxelflight.search as search
 
         real_evaluate = search.evaluate
@@ -121,7 +120,7 @@ class TestCampaign:
             return real_evaluate(*args)
 
         monkeypatch.setattr(search, "evaluate", counting_evaluate)
-        outcome, _log = run_single(tiny_config("unused", method=method), seed=3)
+        outcome, _log = run_single(tiny_config("unused", method=method), 3, str(tmp_path / "run"))
         expected = TINY.mu + TINY.lam * TINY.generations if method is Method.PF else TINY.init_samples + TINY.offspring
         assert outcome.evaluations == len(calls) == expected
 
@@ -138,7 +137,8 @@ class TestCampaign:
 class TestArchivePersistence:
     def _flyer_archive(self, fixtures_dir):
         decode_cfg = DecodeConfig(block_set=BlockSet.OBSERVER)
-        shape = read_shape_file(os.path.join(fixtures_dir, "reference_flyer.shape"))
+        with open(os.path.join(fixtures_dir, "reference_flyer.shape")) as fh:
+            shape = parse_shape(fh.read())
         genome = genome_for_shape(shape, decode_cfg)
         result = evaluate(genome, decode_cfg, TickConfig(), FitnessConfig())
         layout = ArchiveLayout(Characterization.PISTON_ORIENTATION)
@@ -168,7 +168,8 @@ class TestArchivePersistence:
 
     def test_export_takes_settings_from_manifest(self, tmp_path, fixtures_dir):
         cfg = tiny_config(tmp_path, runs=1, block_set=BlockSet.ORIGINAL, emulate_observer_bug=False)
-        shape = read_shape_file(os.path.join(fixtures_dir, "reference_flyer.shape"))
+        with open(os.path.join(fixtures_dir, "reference_flyer.shape")) as fh:
+            shape = parse_shape(fh.read())
         genome = genome_for_shape(shape, DecodeConfig(block_set=BlockSet.OBSERVER))
         decoded = decode(genome, cfg.decode_config())
         assert decoded != shape  # the two block sets read these genes differently
@@ -219,6 +220,23 @@ class TestArchivePersistence:
         assert capsys.readouterr().err == "voxelflight: error: genome value -0.25 is not in [0, 1]\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("method", "pf", "method: 'pf' has no archive layout"),
+        ("method", "bogus", "method: invalid value 'bogus'"),
+        ("block_set", "bogus", "block_set: invalid value 'bogus'"),
+    ])
+    def test_export_of_bad_manifest_exits_2_naming_it(self, tmp_path, capsys, fixtures_dir, key, value, message):
+        # Export decodes and describes the bin with the manifest's settings; none of these rows gives it a layout and block set.
+        archive, bin_index, _, _ = self._flyer_archive(fixtures_dir)
+        save_archive(archive, str(tmp_path / "archive"), tiny_config(tmp_path, runs=1), seed=0)
+        manifest = tmp_path / "archive" / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("\n".join(f"{key} = {value}" if line.startswith(f"{key} = ") else line for line in lines) + "\n")
+        out = tmp_path / "x.shape"
+        assert console_main(["export", "--in", str(tmp_path), "--bin", str(bin_index), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"voxelflight: error: {manifest}: {message}\n"
+        assert not out.exists()
+
 
 class TestCli:
     def test_run_and_report(self, tmp_path, capsys):
@@ -261,7 +279,8 @@ class TestCli:
 
     def test_replay(self, tmp_path, capsys, fixtures_dir):
         decode_cfg = DecodeConfig(block_set=BlockSet.OBSERVER)
-        shape = read_shape_file(os.path.join(fixtures_dir, "reference_flyer.shape"))
+        with open(os.path.join(fixtures_dir, "reference_flyer.shape")) as fh:
+            shape = parse_shape(fh.read())
         genome = genome_for_shape(shape, decode_cfg)
         path = tmp_path / "flyer.genome"
         path.write_text(genome_to_line(genome) + "\n")

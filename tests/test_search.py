@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,9 @@ from voxelflight import (
     evaluate,
     map_elites_run,
     mu_plus_lambda_run,
+    polynomial_mutate,
 )
+from voxelflight import search
 
 DEC = DecodeConfig(block_set=BlockSet.OBSERVER)
 TICK = TickConfig()
@@ -152,11 +156,12 @@ class TestMuPlusLambda:
         bests = [row[2] for row in log.rows]
         assert all(b >= a for a, b in zip(bests, bests[1:]))
 
-    def test_no_variation_children_are_tournament_winners(self):
+    def test_no_variation_children_are_tournament_winners(self, monkeypatch):
         # crossover 0 and mutation 0: every child is an exact clone of an
         # initial parent, so only the initial genomes ever exist.
+        monkeypatch.setattr(search, "polynomial_mutate", functools.partial(polynomial_mutate, per_gene_rate=0.0))
         budget = tiny_budget(mu=4, lam=4, generations=2, crossover_prob=0.0)
-        pop, _ = mu_plus_lambda_run(budget, DEC, TICK, FIT, seed=5, mutation_rate=0.0)
+        pop, _ = mu_plus_lambda_run(budget, DEC, TICK, FIT, seed=5)
         init_rng = np.random.default_rng(5)
         initial = [init_rng.random(DEC.genome_length) for _ in range(budget.mu)]
         for ind in pop:
