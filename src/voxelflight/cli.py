@@ -166,8 +166,9 @@ def _cmd_run(args: argparse.Namespace, settings: list[argparse.Action]) -> int:
 
 
 def _read_summary_csv(path: str) -> dict:
-    """A `summary.csv` row by column name; a missing column or a count that is
-    not a whole number is a `ValueError` naming the file."""
+    """A `summary.csv` row by column name; a missing column, a count that is
+    not a whole number, no runs, or more successes than runs is a
+    `ValueError` naming the file."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         row = fh.readline().strip().split(",")
@@ -178,6 +179,11 @@ def _read_summary_csv(path: str) -> dict:
     for key in ("runs", "success_count"):
         if not values[key].isdigit():
             raise ValueError(f"{path}: {key} {values[key]!r} is not a count")
+    runs, successes = int(values["runs"]), int(values["success_count"])
+    if runs == 0:
+        raise ValueError(f"{path}: runs is 0")
+    if successes > runs:
+        raise ValueError(f"{path}: success_count {successes} exceeds runs {runs}")
     return values
 
 

@@ -46,6 +46,10 @@ from .blocks import (
     neighbors6,
 )
 
+# Builds a NamedTuple from a tuple of its fields in C, skipping the
+# Python-level `__new__` that calling the class runs.
+_new = tuple.__new__
+
 # The per-tick kernel tests kinds by identity against these constants:
 # membership in a frozenset of kinds calls the Python-level Enum.__hash__.
 _PISTON = BlockKind.PISTON
@@ -82,16 +86,25 @@ def apply_observer_bug(shape: list[BlockPlacement]) -> list[BlockPlacement]:
     return out
 
 
-def compute_power(world: WorldState) -> frozenset[Vec3]:
-    """Cells currently powered: redstone 6-adjacency plus active pulse outputs."""
+def compute_power(world: WorldState) -> set[Vec3]:
+    """Cells currently powered: the six neighbours of every redstone block,
+    plus the output cell of every pulse active at the world's tick. The set
+    is the caller's; nothing else holds it."""
     powered: set[Vec3] = set()
-    for pos, block in world.blocks.items():
+    power = powered.add
+    for (x, y, z), block in world.blocks.items():
         if block.kind is _REDSTONE:
-            powered.update(neighbors6(pos))
-    for pulse in world.pulses:
-        if pulse.start <= world.tick < pulse.end:
-            powered.add(pulse.cell)
-    return frozenset(powered)
+            power((x + 1, y, z))
+            power((x - 1, y, z))
+            power((x, y + 1, z))
+            power((x, y - 1, z))
+            power((x, y, z + 1))
+            power((x, y, z - 1))
+    t = world.tick
+    for cell, start, end in world.pulses:
+        if start <= t < end:
+            powered.add(cell)
+    return powered
 
 
 def _immovable(block: Block) -> bool:
@@ -198,15 +211,21 @@ def step(world: WorldState, cfg: TickConfig) -> tuple[WorldState, set[Vec3]]:
         pos for pos, b in blocks.items()
         if (b.kind is _PISTON or b.kind is _STICKY_PISTON) and b.extended != (pos in powered)
     ]
+    events = w.events
     for pos in sorted(out_of_step):
         block = blocks[pos]
         if block.extended:
-            w.events.append(TickEvent(t + cfg.piston_retract_delay, "retract", pos, block.orient))
+            events.append(_new(TickEvent, (t + cfg.piston_retract_delay, "retract", pos, block.orient)))
         else:
-            w.events.append(TickEvent(t + cfg.piston_extend_delay, "extend", pos, block.orient))
+            events.append(_new(TickEvent, (t + cfg.piston_extend_delay, "extend", pos, block.orient)))
 
-    due = [e for e in w.events if e.due <= t]
-    w.events = [e for e in w.events if e.due > t]
+    due: list[TickEvent] = []
+    w.events = pending = []
+    for event in events:
+        if event.due <= t:
+            due.append(event)
+        else:
+            pending.append(event)
     for event in due:
         block = blocks.get(event.pos)
         if block is None or not (block.kind is _PISTON or block.kind is _STICKY_PISTON) or block.orient is not event.orient:
@@ -242,9 +261,10 @@ def step(world: WorldState, cfg: TickConfig) -> tuple[WorldState, set[Vec3]]:
             if add(pos, orient.vector) in moved:
                 output = add(pos, orient.opposite.vector)
                 start = t + cfg.observer_pulse_delay
-                w.pulses.append(Pulse(output, start, start + cfg.observer_pulse_length))
+                w.pulses.append(_new(Pulse, (output, start, start + cfg.observer_pulse_length)))
 
-    w.pulses = [p for p in w.pulses if p.end > t + 1]
+    if w.pulses:
+        w.pulses = [p for p in w.pulses if p.end > t + 1]
     w.tick = t + 1
     return w, moved
 
@@ -256,9 +276,29 @@ def _moved_forward(world: WorldState, ticks: int) -> WorldState:
     return WorldState(
         dict(world.blocks),
         world.tick + ticks,
-        [TickEvent(e.due + ticks, e.action, e.pos, e.orient) for e in world.events],
-        [Pulse(p.cell, p.start + ticks, p.end + ticks) for p in world.pulses],
+        [_new(TickEvent, (due + ticks, action, pos, orient)) for due, action, pos, orient in world.events],
+        [_new(Pulse, (cell, start + ticks, end + ticks)) for cell, start, end in world.pulses],
     )
+
+
+def _repeats(earlier: WorldState, later: WorldState) -> bool:
+    """Whether `later` is `earlier` moved forward to its tick, that is
+    `_moved_forward(earlier, later.tick - earlier.tick) == later`, compared
+    in place without building the moved world: blocks first, then events and
+    pulses pairwise with the earlier times shifted by the tick difference."""
+    if earlier.blocks != later.blocks:
+        return False
+    events, pulses = later.events, later.pulses
+    if len(earlier.events) != len(events) or len(earlier.pulses) != len(pulses):
+        return False
+    ticks = later.tick - earlier.tick
+    for (due, action, pos, orient), e in zip(earlier.events, events):
+        if due + ticks != e.due or pos != e.pos or action != e.action or orient is not e.orient:
+            return False
+    for (cell, start, end), p in zip(earlier.pulses, pulses):
+        if start + ticks != p.start or end + ticks != p.end or cell != p.cell:
+            return False
+    return True
 
 
 def _find_cycle(history: list[WorldState], seen: dict[tuple, list[int]]) -> Optional[tuple[int, int]]:
@@ -266,17 +306,17 @@ def _find_cycle(history: list[WorldState], seen: dict[tuple, list[int]]) -> Opti
 
     A cycle (j, period) means: from stepped index j on, the world after
     j + phase + laps*period steps is history[j + phase] moved forward by
-    laps*period ticks. The newest world closes a cycle when it equals an
-    earlier one moved forward (see `_moved_forward`); a settled world is a
-    cycle of period 1, found one step after it settles. Candidates are keyed
-    by occupied cells and queue lengths, which hash only int tuples; a hit
-    is then compared in full.
+    laps*period ticks. The newest world closes a cycle when it repeats an
+    earlier one (see `_repeats`); a settled world is a cycle of period 1,
+    found one step after it settles. Candidates are keyed by occupied cells
+    and queue lengths, which hash only int tuples; a hit is then compared in
+    full.
     """
     i = len(history) - 1
     world = history[i]
     candidates = seen.setdefault((frozenset(world.blocks), len(world.events), len(world.pulses)), [])
     for j in candidates:
-        if _moved_forward(history[j], i - j) == world:
+        if _repeats(history[j], world):
             return (j, i - j)
     candidates.append(i)
     return None

@@ -359,7 +359,9 @@ class TestCli:
     @pytest.mark.parametrize("text, message", [
         ("method,runs\nx,1\n", "missing column success_count"),
         ("method,runs,success_count\nx,1,many\n", "success_count 'many' is not a count"),
-    ], ids=["missing-column", "not-a-count"])
+        ("method,runs,success_count\nx,0,0\n", "runs is 0"),
+        ("method,runs,success_count\nx,2,5\n", "success_count 5 exceeds runs 2"),
+    ], ids=["missing-column", "not-a-count", "no-runs", "more-successes-than-runs"])
     def test_report_of_malformed_summary_exits_2_naming_it(self, tmp_path, capsys, text, message):
         # The malformed-summary case of test_user_errors_exit_2_with_one_line;
         # it needs a file on disk, which that test's empty directory cannot hold.

@@ -20,6 +20,7 @@ from voxelflight import (
     TickConfig,
     WorldState,
     apply_observer_bug,
+    compute_power,
     compute_push_set,
     decode,
     place_shape,
@@ -27,7 +28,8 @@ from voxelflight import (
     run_until,
     step,
 )
-from voxelflight.blocks import Pulse
+from voxelflight.blocks import Pulse, TickEvent, neighbors6
+from voxelflight.sim import _moved_forward, _repeats
 
 from helpers import reference_run_until, settled, translated
 
@@ -667,6 +669,159 @@ class TestCycleFastForward:
         # Guards the harvest equivalence test against a vacuous pass.
         repeats = [first_repeat(world, cfg) for world, cfg in pf_harvest]
         assert sum(1 for r in repeats if r is not None and r[1] > 1) > len(pf_harvest) // 2
+
+
+def stepped_history(world, cfg, ticks):
+    """`world` and the worlds after each of the next `ticks` steps."""
+    history = [world]
+    for _ in range(ticks):
+        world, _moved = step(world, cfg)
+        history.append(world)
+    return history
+
+
+def repeats_by_projection(earlier, later):
+    """The definition `_repeats` must agree with: `later` equals `earlier`
+    moved forward to its tick."""
+    return _moved_forward(earlier, later.tick - earlier.tick) == later
+
+
+def repeat_base():
+    """A world with pending events, a pulse and an extended piston."""
+    w = make_world({
+        (0, 0, 0): (K.PISTON, O.EAST, True),
+        (1, 0, 0): (K.PISTON_HEAD_NORMAL, O.EAST),
+        (0, 0, 2): (K.STICKY_PISTON, O.UP),
+    })
+    w.tick = 10
+    w.events = [TickEvent(11, "retract", (0, 0, 0), O.EAST), TickEvent(12, "extend", (0, 0, 2), O.UP)]
+    w.pulses = [Pulse((0, 0, 2), 9, 11)]
+    return w
+
+
+def observer_clock():
+    """A dense shape (a uniform random genome's) whose cycle carries observer
+    pulses: period 6, repeating from tick 3 with a pulse pending."""
+    return make_world({
+        (0, 0, 0): (K.SLIME_BLOCK, O.UP),
+        (0, 0, 1): (K.REDSTONE_BLOCK, O.WEST),
+        (0, 0, 2): (K.OBSERVER, O.NORTH),
+        (0, 1, 0): (K.SLIME_BLOCK, O.UP),
+        (0, 1, 2): (K.QUARTZ_BLOCK, O.DOWN),
+        (0, 2, 1): (K.PISTON, O.NORTH),
+        (1, 0, 1): (K.STICKY_PISTON, O.WEST),
+        (1, 1, 0): (K.SLIME_BLOCK, O.UP),
+        (1, 2, 1): (K.STICKY_PISTON, O.WEST),
+        (2, 0, 0): (K.OBSERVER, O.SOUTH),
+        (2, 0, 2): (K.REDSTONE_BLOCK, O.SOUTH),
+        (2, 1, 1): (K.STICKY_PISTON, O.DOWN),
+        (2, 2, 2): (K.REDSTONE_BLOCK, O.UP),
+    })
+
+
+def near_misses(world):
+    """Copies of `world` that differ from it in one field of one block, event
+    or pulse, or in the order or length of a queue; each keeps the world's
+    tick."""
+    def changed(**parts):
+        w = world.copy()
+        for name, value in parts.items():
+            setattr(w, name, value)
+        return w
+
+    e0, e1 = world.events
+    (pulse,) = world.pulses
+    sticky = world.blocks[(0, 0, 2)]
+    return {
+        "event-due-a-tick-later": changed(events=[e0._replace(due=e0.due + 1), e1]),
+        "event-orient": changed(events=[e0, e1._replace(orient=O.DOWN)]),
+        "event-action": changed(events=[e0._replace(action="extend"), e1]),
+        "event-pos": changed(events=[e0, e1._replace(pos=(0, 0, 3))]),
+        "events-reordered": changed(events=[e1, e0]),
+        "event-missing": changed(events=[e0]),
+        "pulse-end-off-by-one": changed(pulses=[pulse._replace(end=pulse.end + 1)]),
+        "pulse-start-off-by-one": changed(pulses=[pulse._replace(start=pulse.start - 1)]),
+        "pulse-cell": changed(pulses=[pulse._replace(cell=(0, 0, 0))]),
+        "pulse-missing": changed(pulses=[]),
+        "extended-flag": changed(blocks={**world.blocks, (0, 0, 2): sticky._replace(extended=True)}),
+    }
+
+
+class TestRepeatCheck:
+    """`_repeats` confirms cycles without building the moved world; it must
+    agree with `_moved_forward` followed by `==` on every pair of worlds, or
+    `run_until` could jump over a false cycle."""
+
+    def test_agrees_with_projection_on_stepped_histories(self, pf_harvest):
+        repeated = with_events = with_pulses = 0
+        histories = [stepped_history(world, cfg, 30) for world, cfg in pf_harvest]
+        histories += [stepped_history(world, cfg, 20) for world, cfg in RANDOM_WORLDS]
+        histories.append(stepped_history(observer_clock(), CFG, 30))
+        for history in histories:
+            for a in history:
+                for b in history:
+                    expected = repeats_by_projection(a, b)
+                    assert _repeats(a, b) == expected
+                    if expected and a is not b:
+                        repeated += 1
+                        with_events += bool(a.events)
+                        with_pulses += bool(a.pulses)
+        # Guards against a vacuous pass: true repeats across different
+        # ticks, some of them with pending events and some with pulses.
+        assert repeated > 1000 and with_events > 0 and with_pulses > 0
+
+    def test_agrees_with_projection_on_near_misses(self):
+        earlier = repeat_base()
+        later = _moved_forward(earlier, 7)
+        assert _repeats(earlier, later) and _repeats(later, earlier)
+        for name, miss in near_misses(later).items():
+            assert not repeats_by_projection(earlier, miss), name
+            assert not _repeats(earlier, miss), name
+            assert not _repeats(miss, earlier), name
+
+    def test_equal_times_are_not_equal_relative_times(self):
+        # The same absolute event and pulse times one tick later are a
+        # different state relative to the tick.
+        earlier = repeat_base()
+        later = earlier.copy()
+        later.tick += 1
+        assert not repeats_by_projection(earlier, later)
+        assert not _repeats(earlier, later)
+
+
+def reference_power(world):
+    """Powered cells from the documented rule, cell by cell."""
+    powered = set()
+    for pos, block in world.blocks.items():
+        if block.kind is K.REDSTONE_BLOCK:
+            powered.update(neighbors6(pos))
+    for pulse in world.pulses:
+        if pulse.start <= world.tick < pulse.end:
+            powered.add(pulse.cell)
+    return powered
+
+
+class TestComputePower:
+    def test_matches_reference_on_random_worlds(self):
+        checked_pulses = 0
+        for world, cfg in RANDOM_WORLDS:
+            for w in stepped_history(world, cfg, 20):
+                assert compute_power(w) == reference_power(w)
+                checked_pulses += len(w.pulses)
+        assert checked_pulses > 0
+
+    def test_pulse_window_is_start_inclusive_end_exclusive(self):
+        w = make_world({(5, 5, 5): (K.REDSTONE_BLOCK, O.NORTH)})
+        w.tick = 10
+        w.pulses = [
+            Pulse((0, 0, 0), 10, 12),  # starts now: powered
+            Pulse((0, 0, 1), 8, 10),  # ended now: not powered
+            Pulse((0, 0, 2), 9, 11),  # ends next tick: powered
+            Pulse((0, 0, 3), 11, 13),  # starts next tick: not powered
+        ]
+        powered = compute_power(w)
+        assert powered == reference_power(w)
+        assert powered == set(neighbors6((5, 5, 5))) | {(0, 0, 0), (0, 0, 2)}
 
 
 class TestAliasing:
