@@ -36,7 +36,6 @@ from .blocks import (
     write_shape_file,
 )
 from .campaign import (
-    CampaignSummary,
     ExperimentConfig,
     Method,
     run_campaign,

@@ -90,20 +90,6 @@ class RunOutcome:
     evaluations: int
 
 
-@dataclass
-class CampaignSummary:
-    method: str
-    block_set: str
-    runs: int
-    success_count: int
-    success_pct: float
-    direction_run_counts: dict[str, int]  # runs with >= 1 flight per direction
-    avg_distinct_directions: float
-    max_distinct_directions: int
-    first_flight_evals: list[object]  # rounded-up eval number per run, or "never"
-    outcomes: list[RunOutcome] = field(default_factory=list)
-
-
 def round_up_to_interval(value: int, interval: int) -> int:
     return interval * math.ceil(value / interval)
 
@@ -203,65 +189,40 @@ def run_single(cfg: ExperimentConfig, seed: int, run_dir: str) -> tuple[RunOutco
     return outcome, log
 
 
-def run_campaign(cfg: ExperimentConfig) -> CampaignSummary:
+def run_campaign(cfg: ExperimentConfig) -> list[RunOutcome]:
     """Execute `cfg.runs` independent runs, replacing any earlier `runs/`, and write the aggregated summary."""
     os.makedirs(cfg.out_dir, exist_ok=True)
     runs_dir = os.path.join(cfg.out_dir, "runs")
     if os.path.isdir(runs_dir):
         shutil.rmtree(runs_dir)
-    outcomes: list[RunOutcome] = []
-    for i in range(cfg.runs):
-        outcome, _log = run_single(cfg, cfg.seed_base + i, os.path.join(runs_dir, _method_dir_name(i)))
-        outcomes.append(outcome)
-
-    summary = summarize(cfg, outcomes)
-    write_summary(summary, cfg.out_dir)
-    return summary
+    outcomes = [run_single(cfg, cfg.seed_base + i, os.path.join(runs_dir, _method_dir_name(i)))[0] for i in range(cfg.runs)]
+    write_summary(cfg, outcomes)
+    return outcomes
 
 
-def summarize(cfg: ExperimentConfig, outcomes: list[RunOutcome]) -> CampaignSummary:
-    successes = [o for o in outcomes if o.succeeded]
-    direction_counts = {o.name: 0 for o in Orientation}
-    for outcome in outcomes:
-        for name in outcome.directions:
-            direction_counts[name] += 1
+def write_summary(cfg: ExperimentConfig, outcomes: list[RunOutcome]) -> None:
+    """Write `summary.csv` (successes, distinct directions per run), `directions.csv`
+    (runs with a flight per direction) and `first_flights.csv` (per run, rounded up
+    to the log interval and exact) into `cfg.out_dir`."""
+    successes = sum(o.succeeded for o in outcomes)
     distinct = [len(o.directions) for o in outcomes]
-    firsts: list[object] = []
-    for outcome in outcomes:
-        if outcome.first_flight_eval is None:
-            firsts.append("never")
-        else:
-            firsts.append(round_up_to_interval(outcome.first_flight_eval, cfg.log_interval))
-    return CampaignSummary(
-        method=cfg.method.value,
-        block_set=cfg.block_set.value,
-        runs=cfg.runs,
-        success_count=len(successes),
-        success_pct=100.0 * len(successes) / cfg.runs,
-        direction_run_counts=direction_counts,
-        avg_distinct_directions=sum(distinct) / cfg.runs,
-        max_distinct_directions=max(distinct, default=0),
-        first_flight_evals=firsts,
-        outcomes=outcomes,
-    )
-
-
-def write_summary(summary: CampaignSummary, out_dir: str) -> None:
-    with open(os.path.join(out_dir, "summary.csv"), "w") as fh:
+    with open(os.path.join(cfg.out_dir, "summary.csv"), "w") as fh:
         fh.write("method,block_set,runs,success_count,success_pct,avg_distinct_directions,max_distinct_directions\n")
         fh.write(
-            f"{summary.method},{summary.block_set},{summary.runs},{summary.success_count},"
-            f"{summary.success_pct!r},{summary.avg_distinct_directions!r},{summary.max_distinct_directions}\n"
+            f"{cfg.method.value},{cfg.block_set.value},{cfg.runs},{successes},"
+            f"{100.0 * successes / cfg.runs!r},{sum(distinct) / cfg.runs!r},{max(distinct, default=0)}\n"
         )
-    with open(os.path.join(out_dir, "directions.csv"), "w") as fh:
+    with open(os.path.join(cfg.out_dir, "directions.csv"), "w") as fh:
         fh.write("direction,runs_with_flight,pct\n")
-        for name, count in summary.direction_run_counts.items():
-            fh.write(f"{name},{count},{100.0 * count / summary.runs!r}\n")
-    with open(os.path.join(out_dir, "first_flights.csv"), "w") as fh:
+        for orient in Orientation:
+            count = sum(orient.name in o.directions for o in outcomes)
+            fh.write(f"{orient.name},{count},{100.0 * count / cfg.runs!r}\n")
+    with open(os.path.join(cfg.out_dir, "first_flights.csv"), "w") as fh:
         fh.write("run,seed,first_flight_rounded,first_flight_exact,best_fitness\n")
-        for i, (outcome, rounded) in enumerate(zip(summary.outcomes, summary.first_flight_evals)):
-            exact = outcome.first_flight_eval if outcome.first_flight_eval is not None else "never"
-            fh.write(f"{i},{outcome.seed},{rounded},{exact},{outcome.best_fitness!r}\n")
+        for i, outcome in enumerate(outcomes):
+            exact = outcome.first_flight_eval
+            rounded = "never" if exact is None else round_up_to_interval(exact, cfg.log_interval)
+            fh.write(f"{i},{outcome.seed},{rounded},{'never' if exact is None else exact},{outcome.best_fitness!r}\n")
 
 
 def export_shape_file(cfg: ExperimentConfig, archive_dir: str, bin_index: int, out_path: str) -> None:

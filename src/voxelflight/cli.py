@@ -2,8 +2,9 @@
 
 Subcommands:
     run     execute a campaign of search runs and write logs plus summaries
-    report  print a campaign summary, or compare sibling campaigns with
-            pairwise Fisher exact tests (Bonferroni-adjusted)
+    report  print a campaign from its summary CSVs (what `run` prints), or
+            compare sibling campaigns with pairwise Fisher exact tests
+            (Bonferroni-adjusted)
     export  decode one stored archive occupant (with its manifest's settings) into the shape text format
     replay  re-evaluate a serialized genome and print its result
 
@@ -24,7 +25,6 @@ from itertools import combinations
 
 from .blocks import BlockSet
 from .campaign import (
-    CampaignSummary,
     ExperimentConfig,
     Method,
     export_shape_file,
@@ -140,15 +140,6 @@ def _experiment_config(values: dict) -> ExperimentConfig:
     )
 
 
-def _print_summary(summary: CampaignSummary) -> None:
-    print(f"method={summary.method} block_set={summary.block_set} runs={summary.runs}")
-    print(f"successful runs: {summary.success_count} ({summary.success_pct:.2f}%)")
-    print(f"distinct directions per run: avg {summary.avg_distinct_directions:.2f}, max {summary.max_distinct_directions}")
-    for name, count in summary.direction_run_counts.items():
-        print(f"  {name:<5} {count} run(s)")
-    print("first flights (rounded up to log interval):", ", ".join(str(v) for v in summary.first_flight_evals))
-
-
 def _cmd_run(args: argparse.Namespace, settings: list[argparse.Action]) -> int:
     """Run a campaign and echo its settings to `config.txt`, so that `run --config` repeats it."""
     cfg = _experiment_config(vars(args))
@@ -159,23 +150,34 @@ def _cmd_run(args: argparse.Namespace, settings: list[argparse.Action]) -> int:
             if action.dest not in ("config", "out"):
                 value = getattr(args, action.dest)
                 fh.write(f"{action.dest} = {str(value).lower() if isinstance(value, bool) else value}\n")
-    summary = run_campaign(cfg)
-    _print_summary(summary)
+    run_campaign(cfg)
+    _print_campaign(cfg.out_dir)
     print(f"outputs written to {cfg.out_dir}")
     return 0
 
 
-def _read_summary_csv(path: str) -> dict:
-    """A `summary.csv` row by column name; a missing column, a count that is
-    not a whole number, no runs, or more successes than runs is a
-    `ValueError` naming the file."""
+def _read_csv(path: str, columns: tuple[str, ...]) -> list[dict[str, str]]:
+    """A CSV file's rows by column name; a missing column, or a row with more or
+    fewer values than the header has columns, is a `ValueError` naming the file."""
     with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        row = fh.readline().strip().split(",")
-    values = dict(zip(header, row))
-    missing = [key for key in ("method", "runs", "success_count") if key not in values]
+        header, *rows = [line.split(",") for line in fh.read().splitlines()] or [[]]
+    missing = [key for key in columns if key not in header]
     if missing:
         raise ValueError(f"{path}: missing column {', '.join(missing)}")
+    for lineno, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise ValueError(f"{path}: line {lineno} has {len(row)} values for {len(header)} columns")
+    return [dict(zip(header, row)) for row in rows]
+
+
+def _read_summary_csv(path: str) -> dict[str, str]:
+    """The one `summary.csv` row by column name; besides `_read_csv`'s checks,
+    a count that is not a whole number, no runs, or more successes than runs
+    is a `ValueError` naming the file."""
+    rows = _read_csv(path, ("method", "runs", "success_count"))
+    if len(rows) != 1:
+        raise ValueError(f"{path}: {len(rows)} rows, expected 1")
+    values = rows[0]
     for key in ("runs", "success_count"):
         if not values[key].isdigit():
             raise ValueError(f"{path}: {key} {values[key]!r} is not a count")
@@ -187,12 +189,24 @@ def _read_summary_csv(path: str) -> dict:
     return values
 
 
+def _print_campaign(campaign_dir: str) -> None:
+    """Print a campaign from its three summary CSVs, all read and checked first:
+    `summary.csv` as `key: value` lines, the runs with a flight per direction,
+    and the first flights rounded up to the log interval."""
+    summary = _read_summary_csv(os.path.join(campaign_dir, "summary.csv"))
+    directions = _read_csv(os.path.join(campaign_dir, "directions.csv"), ("direction", "runs_with_flight"))
+    flights = _read_csv(os.path.join(campaign_dir, "first_flights.csv"), ("first_flight_rounded",))
+    for key, value in summary.items():
+        print(f"{key}: {value}")
+    print("runs with a flight, per direction:")
+    for row in directions:
+        print(f"  {row['direction']:<5} {row['runs_with_flight']} run(s)")
+    print("first flights (rounded up to log interval):", ", ".join(row["first_flight_rounded"] for row in flights))
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
-    summary_path = os.path.join(args.in_dir, "summary.csv")
-    if os.path.exists(summary_path):
-        values = _read_summary_csv(summary_path)
-        for key, value in values.items():
-            print(f"{key}: {value}")
+    if os.path.exists(os.path.join(args.in_dir, "summary.csv")):
+        _print_campaign(args.in_dir)
         return 0
     # Directory of campaigns: compare all pairs on success counts.
     rows = []

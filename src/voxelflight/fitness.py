@@ -45,7 +45,6 @@ class FitnessConfig:
     fly_threshold: ClassVar[int] = 6  # strictly more than this many blocks must leave
     eval_seconds: ClassVar[int] = 10
     watch_size: ClassVar[int] = 9
-    spawn_box: ClassVar[Box] = Box((0, 0, 0), (SPAWN_BOX_SIZE,) * 3)
     watch_box: ClassVar[Box] = Box.cube((SPAWN_BOX_SIZE // 2,) * 3, watch_size)
     fly_reward: ClassVar[float] = 55.0
 
@@ -99,8 +98,6 @@ def evaluate_shape(shape: list[BlockPlacement], tick_cfg: TickConfig, fit_cfg: F
     if tick_cfg.emulate_observer_bug:
         shape = apply_observer_bug(shape)
     world = place_shape(world, shape, origin=(0, 0, 0))
-    # Fresh per-call worlds make the cleared-space precondition vacuous.
-    assert all(fit_cfg.spawn_box.contains(p) for p in world.blocks), "spawn must start clean"
 
     watch = fit_cfg.watch_box
     placed = len(shape)

@@ -180,7 +180,7 @@ def map_elites_run(
                     second = archive.bins[occupied[rng.integers(len(occupied))]].genome
                     child = crossover(first, second, rng)
                 else:
-                    child = archive.bins[occupied[rng.integers(len(occupied))]].genome.copy()
+                    child = archive.bins[occupied[rng.integers(len(occupied))]].genome
                 batch.append(polynomial_mutate(child, rng))
             yield batch
 
@@ -252,7 +252,7 @@ def mu_plus_lambda_run(
                     partner = _tournament(population, rng)
                     child = crossover(parent.genome, partner.genome, rng)
                 else:
-                    child = parent.genome.copy()
+                    child = parent.genome
                 children.append(polynomial_mutate(child, rng))
             pool = list(population)
             yield children

@@ -5,13 +5,21 @@ from voxelflight import (
     ArchiveLayout,
     BlockKind,
     BlockPlacement,
+    BlockSet,
     BoundsError,
     Characterization,
+    DecodeConfig,
+    FitnessConfig,
     Orientation,
+    TickConfig,
     block_count_bc,
+    decode,
+    evaluate,
     negative_space,
     piston_orientation_bc,
 )
+
+from helpers import genome_for_shape
 
 K = BlockKind
 O = Orientation
@@ -145,3 +153,29 @@ class TestLayouts:
         assert ArchiveLayout(Characterization.BLOCK_COUNT).descriptor(shape) == (2,)
         assert ArchiveLayout(Characterization.COUNT_NEGATIVE_SPACE).descriptor(shape) == (2, 6)
         assert ArchiveLayout(Characterization.PISTON_ORIENTATION).descriptor(shape) == (0, 0, 0)
+
+
+class TestReferenceFlyerCalibration:
+    """The reference flyer as a genome under the observer block set: what it
+    decodes to, how it scores, and the bin each method files it in. A change
+    to the encoding, the simulator or a layout moves one of these numbers."""
+
+    def test_genome_decodes_flies_and_bins(self, reference_flyer):
+        decode_cfg = DecodeConfig(block_set=BlockSet.OBSERVER)
+        genome = genome_for_shape(reference_flyer, decode_cfg)
+        shape = decode(genome, decode_cfg)
+        assert set(shape) == set(reference_flyer) and len(shape) == len(reference_flyer)
+        result = evaluate(genome, decode_cfg, TickConfig(), FitnessConfig())
+        assert (result.fitness, result.flew, result.direction, result.leftover_count, result.ticks_used) == (
+            54.9, True, O.EAST, 1, 60,
+        )
+        placements = {}
+        for characterization in Characterization:
+            layout = ArchiveLayout(characterization)
+            descriptor = layout.descriptor(shape)
+            placements[characterization] = (descriptor, layout.bin_index(descriptor))
+        assert placements == {
+            Characterization.PISTON_ORIENTATION: ((0, 2, 0), 12),
+            Characterization.BLOCK_COUNT: ((13,), 13),
+            Characterization.COUNT_NEGATIVE_SPACE: ((13, 14), 365),
+        }

@@ -20,6 +20,7 @@ from voxelflight import (
     parse_shape,
     place_shape,
 )
+from voxelflight.blocks import SPAWN_BOX_SIZE
 
 from helpers import translated
 
@@ -155,7 +156,7 @@ def face_cells(region: Box) -> list[tuple[int, ...]]:
 
 
 class TestRegionScansMatchContains:
-    REGIONS = [FitnessConfig.watch_box, FitnessConfig.spawn_box, Box((-2, 5, 0), (1, 4, 7))]
+    REGIONS = [FitnessConfig.watch_box, Box((0, 0, 0), (SPAWN_BOX_SIZE,) * 3), Box((-2, 5, 0), (1, 4, 7))]
 
     @pytest.mark.parametrize("region", REGIONS, ids=["watch", "spawn", "uneven"])
     def test_contains_is_the_half_open_box(self, region):

@@ -28,7 +28,7 @@ from voxelflight.campaign import (
     round_up_to_interval,
     run_single,
     save_archive,
-    summarize,
+    write_summary,
 )
 from voxelflight.cli import _build_parser, console_main, main, parse_config_file
 
@@ -51,6 +51,11 @@ def tiny_config(out_dir, **kw):
     return ExperimentConfig(**defaults)
 
 
+def read_csv(path):
+    header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+    return [dict(zip(header, row)) for row in rows]
+
+
 def tree_bytes(root):
     out = {}
     for dirpath, _dirnames, filenames in os.walk(root):
@@ -64,8 +69,8 @@ def tree_bytes(root):
 class TestCampaign:
     def test_outputs_written(self, tmp_path):
         cfg = tiny_config(tmp_path / "c")
-        summary = run_campaign(cfg)
-        assert summary.runs == 2
+        outcomes = run_campaign(cfg)
+        assert [o.seed for o in outcomes] == [100, 101]
         assert (tmp_path / "c" / "summary.csv").exists()
         assert (tmp_path / "c" / "directions.csv").exists()
         assert (tmp_path / "c" / "first_flights.csv").exists()
@@ -84,24 +89,26 @@ class TestCampaign:
 
     def test_pf_campaign_runs(self, tmp_path):
         cfg = tiny_config(tmp_path / "pf", method=Method.PF, runs=1)
-        summary = run_campaign(cfg)
+        [outcome] = run_campaign(cfg)
         assert (tmp_path / "pf" / "runs" / "run_000" / "population.txt").exists()
-        assert summary.success_count in (0, 1)
+        assert isinstance(outcome.succeeded, bool)
 
-    def test_direction_counting_contract(self):
-        cfg = tiny_config("unused")
+    def test_direction_counting_contract(self, tmp_path):
+        cfg = tiny_config(tmp_path)
         outcomes = [
             RunOutcome(0, True, 500, ("NORTH", "SOUTH"), 55.0, 1000),
             RunOutcome(1, False, None, (), 3.0, 1000),
         ]
-        summary = summarize(cfg, outcomes)
-        assert summary.success_count == 1
-        assert summary.direction_run_counts["NORTH"] == 1
-        assert summary.direction_run_counts["SOUTH"] == 1
-        assert summary.direction_run_counts["EAST"] == 0
-        assert summary.avg_distinct_directions == 1.0
-        assert summary.max_distinct_directions == 2
-        assert summary.first_flight_evals == [500, "never"]
+        write_summary(cfg, outcomes)
+        summary = read_csv(tmp_path / "summary.csv")[0]
+        assert summary["success_count"] == "1"
+        assert summary["avg_distinct_directions"] == "1.0"
+        assert summary["max_distinct_directions"] == "2"
+        directions = {row["direction"]: row["runs_with_flight"] for row in read_csv(tmp_path / "directions.csv")}
+        assert directions == {"NORTH": "1", "SOUTH": "1", "EAST": "0", "WEST": "0", "UP": "0", "DOWN": "0"}
+        flights = read_csv(tmp_path / "first_flights.csv")
+        assert [row["first_flight_rounded"] for row in flights] == ["500", "never"]
+        assert [row["first_flight_exact"] for row in flights] == ["500", "never"]
 
     def test_first_flight_rounding(self):
         assert round_up_to_interval(401, 100) == 500
@@ -126,12 +133,12 @@ class TestCampaign:
 
     def test_summary_matches_log_recount(self, tmp_path):
         cfg = tiny_config(tmp_path / "c", runs=1)
-        summary = run_campaign(cfg)
+        [outcome] = run_campaign(cfg)
         log_path = tmp_path / "c" / "runs" / "run_000" / "log.csv"
         rows = [line.split(",") for line in log_path.read_text().strip().splitlines()[1:]]
         last = rows[-1]
         directions_in_log = sum(1 for v in last[4:10] if int(v) > 0)
-        assert directions_in_log == len(summary.outcomes[0].directions)
+        assert directions_in_log == len(outcome.directions)
 
 
 class TestArchivePersistence:
@@ -247,11 +254,14 @@ class TestCli:
             "--log-interval", "10", "--out", str(out),
         ])
         assert rc == 0
-        captured = capsys.readouterr().out
-        assert "successful runs" in captured
+        *shown, last = capsys.readouterr().out.splitlines(keepends=True)
+        assert last == f"outputs written to {out}\n"
         rc = main(["report", "--in", str(out)])
         assert rc == 0
-        assert "success_count" in capsys.readouterr().out
+        assert capsys.readouterr().out == "".join(shown)
+        assert shown[:4] == ["method: me-po\n", "block_set: observer\n", "runs: 1\n", "success_count: 0\n"]
+        assert "  EAST  0 run(s)\n" in shown
+        assert shown[-1] == "first flights (rounded up to log interval): never\n"
 
     @pytest.mark.parametrize("budget, total", [
         (["--method", "me-po", "--init-samples", "10", "--evals", "15", "--log-interval", "10"], 25),
@@ -361,7 +371,9 @@ class TestCli:
         ("method,runs,success_count\nx,1,many\n", "success_count 'many' is not a count"),
         ("method,runs,success_count\nx,0,0\n", "runs is 0"),
         ("method,runs,success_count\nx,2,5\n", "success_count 5 exceeds runs 2"),
-    ], ids=["missing-column", "not-a-count", "no-runs", "more-successes-than-runs"])
+        ("method,runs,success_count\n", "0 rows, expected 1"),
+        ("method,runs,success_count\nx,2,1,0\n", "line 2 has 4 values for 3 columns"),
+    ], ids=["missing-column", "not-a-count", "no-runs", "more-successes-than-runs", "no-row", "extra-value"])
     def test_report_of_malformed_summary_exits_2_naming_it(self, tmp_path, capsys, text, message):
         # The malformed-summary case of test_user_errors_exit_2_with_one_line;
         # it needs a file on disk, which that test's empty directory cannot hold.
@@ -372,6 +384,21 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == f"voxelflight: error: {tmp_path / 'a' / 'summary.csv'}: {message}\n"
         assert not (tmp_path / "comparisons.csv").exists()
+
+    @pytest.mark.parametrize("name, row, message", [
+        ("directions.csv", "EAST,0", "line 8 has 2 values for 3 columns"),
+        ("first_flights.csv", "2,102,never,never,1.5,extra", "line 4 has 6 values for 5 columns"),
+    ])
+    def test_report_of_malformed_row_exits_2_naming_the_file(self, tmp_path, capsys, name, row, message):
+        # Every file is checked before anything is printed, so a bad last row leaves stdout empty.
+        outcomes = [RunOutcome(100, False, None, (), 1.5, 45), RunOutcome(101, False, None, (), 2.5, 45)]
+        write_summary(tiny_config(tmp_path), outcomes)
+        path = tmp_path / name
+        path.write_text(path.read_text() + row + "\n")
+        assert console_main(["report", "--in", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"voxelflight: error: {path}: {message}\n"
 
     @pytest.mark.parametrize("line, message", [
         ("emulate_observer_bug = flase", "emulate_observer_bug: invalid value 'flase'"),
