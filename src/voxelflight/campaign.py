@@ -19,14 +19,7 @@ from .behavior import ArchiveLayout, Characterization
 from .blocks import BlockSet, Orientation, write_shape_file
 from .fitness import FitnessConfig, evaluate_shape
 from .genome import DecodeConfig, Genome, decode, genome_from_line, genome_to_line
-from .search import (
-    Archive,
-    Population,
-    RunLog,
-    SearchBudget,
-    map_elites_run,
-    mu_plus_lambda_run,
-)
+from .search import Archive, Population, SearchBudget, map_elites_run, mu_plus_lambda_run
 from .sim import TickConfig
 
 
@@ -67,6 +60,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
+        if self.seed_base < 0:
+            raise ConfigError("seed must be >= 0")
         if self.log_interval < 1:
             raise ConfigError("log_interval must be >= 1")
 
@@ -83,31 +78,24 @@ class ExperimentConfig:
 @dataclass
 class RunOutcome:
     seed: int
-    succeeded: bool
-    first_flight_eval: Optional[int]  # exact evaluation number, None if never
-    directions: tuple[str, ...]
+    first_flights: dict[Orientation, int]  # the run log's exact first flight per direction flown
     best_fitness: float
-    evaluations: int
 
 
 def round_up_to_interval(value: int, interval: int) -> int:
     return interval * math.ceil(value / interval)
 
 
-def _method_dir_name(index: int) -> str:
-    return f"run_{index:03d}"
-
-
-def save_archive(archive: Archive, path: str, cfg: ExperimentConfig, seed: int) -> None:
-    """Persist an archive as genome-line files named by flat bin index."""
+def save_archive(archive: Archive, path: str, cfg: ExperimentConfig, seed: int, evaluations: int) -> None:
+    """Persist an archive as genome-line files named by flat bin index; `evaluations` is the run's total."""
     bins_dir = os.path.join(path, "bins")
     os.makedirs(bins_dir, exist_ok=True)
     lines = [
-        f"characterization = {archive.layout.characterization.value}",
+        f"characterization = {cfg.method.characterization.value}",
         f"method = {cfg.method.value}",
         f"block_set = {cfg.block_set.value}",
         f"seed = {seed}",
-        f"evaluations = {archive.evaluations}",
+        f"evaluations = {evaluations}",
         f"emulate_observer_bug = {str(cfg.emulate_observer_bug).lower()}",
         "columns = bin,fitness,discovered_eval,flew,direction",
     ]
@@ -162,7 +150,7 @@ def save_population(population: Population, path: str) -> None:
             fh.write(f"{ind.fitness!r} {genome_to_line(ind.genome)}\n")
 
 
-def run_single(cfg: ExperimentConfig, seed: int, run_dir: str) -> tuple[RunOutcome, RunLog]:
+def run_single(cfg: ExperimentConfig, seed: int, run_dir: str) -> RunOutcome:
     """One search run; writes log.csv plus an archive or population snapshot under `run_dir`."""
     decode_cfg = cfg.decode_config()
     tick_cfg = cfg.tick_config()
@@ -180,13 +168,10 @@ def run_single(cfg: ExperimentConfig, seed: int, run_dir: str) -> tuple[RunOutco
             cfg.budget, layout, decode_cfg, tick_cfg, fit_cfg, seed, log_interval=cfg.log_interval,
         )
         best = archive.best_fitness
-        save_archive(archive, os.path.join(run_dir, "archive"), cfg, seed)
+        save_archive(archive, os.path.join(run_dir, "archive"), cfg, seed, log.evaluations)
     with open(os.path.join(run_dir, "log.csv"), "w") as fh:
         fh.write(log.to_csv())
-    first = min(log.first_flights.values()) if log.first_flights else None
-    directions = tuple(sorted(o.name for o in log.first_flights))
-    outcome = RunOutcome(seed, bool(log.first_flights), first, directions, best, log.evaluations)
-    return outcome, log
+    return RunOutcome(seed, log.first_flights, best)
 
 
 def run_campaign(cfg: ExperimentConfig) -> list[RunOutcome]:
@@ -195,7 +180,7 @@ def run_campaign(cfg: ExperimentConfig) -> list[RunOutcome]:
     runs_dir = os.path.join(cfg.out_dir, "runs")
     if os.path.isdir(runs_dir):
         shutil.rmtree(runs_dir)
-    outcomes = [run_single(cfg, cfg.seed_base + i, os.path.join(runs_dir, _method_dir_name(i)))[0] for i in range(cfg.runs)]
+    outcomes = [run_single(cfg, cfg.seed_base + i, os.path.join(runs_dir, f"run_{i:03d}")) for i in range(cfg.runs)]
     write_summary(cfg, outcomes)
     return outcomes
 
@@ -204,8 +189,8 @@ def write_summary(cfg: ExperimentConfig, outcomes: list[RunOutcome]) -> None:
     """Write `summary.csv` (successes, distinct directions per run), `directions.csv`
     (runs with a flight per direction) and `first_flights.csv` (per run, rounded up
     to the log interval and exact) into `cfg.out_dir`."""
-    successes = sum(o.succeeded for o in outcomes)
-    distinct = [len(o.directions) for o in outcomes]
+    successes = sum(bool(o.first_flights) for o in outcomes)
+    distinct = [len(o.first_flights) for o in outcomes]
     with open(os.path.join(cfg.out_dir, "summary.csv"), "w") as fh:
         fh.write("method,block_set,runs,success_count,success_pct,avg_distinct_directions,max_distinct_directions\n")
         fh.write(
@@ -215,12 +200,12 @@ def write_summary(cfg: ExperimentConfig, outcomes: list[RunOutcome]) -> None:
     with open(os.path.join(cfg.out_dir, "directions.csv"), "w") as fh:
         fh.write("direction,runs_with_flight,pct\n")
         for orient in Orientation:
-            count = sum(orient.name in o.directions for o in outcomes)
+            count = sum(orient in o.first_flights for o in outcomes)
             fh.write(f"{orient.name},{count},{100.0 * count / cfg.runs!r}\n")
     with open(os.path.join(cfg.out_dir, "first_flights.csv"), "w") as fh:
         fh.write("run,seed,first_flight_rounded,first_flight_exact,best_fitness\n")
         for i, outcome in enumerate(outcomes):
-            exact = outcome.first_flight_eval
+            exact = min(outcome.first_flights.values(), default=None)
             rounded = "never" if exact is None else round_up_to_interval(exact, cfg.log_interval)
             fh.write(f"{i},{outcome.seed},{rounded},{'never' if exact is None else exact},{outcome.best_fitness!r}\n")
 

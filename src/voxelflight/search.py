@@ -53,19 +53,14 @@ class BinEntry:
 
 @dataclass
 class Archive:
-    layout: ArchiveLayout
     bins: dict[int, BinEntry] = field(default_factory=dict)
-    evaluations: int = 0
-    # Accepted insertions as (evaluation number, bin index, fitness), in order.
-    history: list[tuple[int, int, float]] = field(default_factory=list)
 
-    def insert(self, bin_index: int, genome: Genome, result: EvaluationResult) -> bool:
-        """Keep the candidate iff its bin is empty or it is strictly fitter."""
+    def insert(self, bin_index: int, genome: Genome, result: EvaluationResult, eval_number: int) -> bool:
+        """Keep the candidate, found at evaluation `eval_number`, iff its bin is empty or it is strictly fitter."""
         incumbent = self.bins.get(bin_index)
         if incumbent is not None and result.fitness <= incumbent.fitness:
             return False
-        self.bins[bin_index] = BinEntry(genome.copy(), result.fitness, result.flew, result.direction, self.evaluations)
-        self.history.append((self.evaluations, bin_index, result.fitness))
+        self.bins[bin_index] = BinEntry(genome.copy(), result.fitness, result.flew, result.direction, eval_number)
         return True
 
     @property
@@ -167,7 +162,7 @@ def map_elites_run(
     `workers` is ignored: evaluation is serial.
     """
     rng = np.random.default_rng(seed)
-    archive = Archive(layout)
+    archive = Archive()
 
     def ask() -> Iterator[list[Genome]]:
         yield [random_genome(rng, decode_cfg.genome_length) for _ in range(budget.init_samples)]
@@ -185,8 +180,7 @@ def map_elites_run(
             yield batch
 
     def tell(eval_number: int, genome: Genome, result: EvaluationResult) -> None:
-        archive.evaluations = eval_number
-        archive.insert(layout.bin_index(layout.descriptor(decode(genome, decode_cfg))), genome, result)
+        archive.insert(layout.bin_index(layout.descriptor(decode(genome, decode_cfg))), genome, result, eval_number)
 
     log = _search(
         ask(), tell, lambda: (archive.occupied, archive.best_fitness), decode_cfg, tick_cfg, fit_cfg, log_interval,

@@ -1,6 +1,6 @@
 import numpy as np
 
-from voxelflight import BlockPlacement, DecodeConfig, TickConfig, WorldState, step
+from voxelflight import Archive, BlockPlacement, DecodeConfig, TickConfig, WorldState, step
 from voxelflight.blocks import ORIENTATION_ORDER, add
 from voxelflight.genome import PRESENCE_THRESHOLD
 
@@ -18,6 +18,22 @@ def genome_for_shape(shape, cfg: DecodeConfig):
             g[3 * i + 1] = (members.index(p.kind) + 0.5) / len(members)
             g[3 * i + 2] = (ORIENTATION_ORDER.index(p.orient) + 0.5) / 6
     return g
+
+
+def record_accepted_inserts(monkeypatch) -> list[tuple[int, float, int]]:
+    """Patch `Archive.insert` to list every accepted insert as (bin index,
+    fitness, evaluation number), in order."""
+    accepted = []
+    real_insert = Archive.insert
+
+    def recording_insert(self, bin_index, genome, result, eval_number):
+        kept = real_insert(self, bin_index, genome, result, eval_number)
+        if kept:
+            accepted.append((bin_index, result.fitness, eval_number))
+        return kept
+
+    monkeypatch.setattr(Archive, "insert", recording_insert)
+    return accepted
 
 
 def reference_decode(genome, cfg: DecodeConfig):

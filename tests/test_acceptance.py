@@ -41,6 +41,8 @@ from voxelflight import (
 from voxelflight.campaign import save_archive, ExperimentConfig, Method
 from voxelflight.search import Archive
 
+from helpers import record_accepted_inserts
+
 DEC_OBS = DecodeConfig(block_set=BlockSet.OBSERVER)
 TICK = TickConfig()
 FIT = FitnessConfig()
@@ -235,15 +237,19 @@ class TestCriterion5SimulatorFixtures:
 
 @pytest.fixture(scope="module")
 def determinism_runs(tmp_path_factory):
-    """Criterion 6's ME.PO run (100 init + 2000 offspring), 1 vs 8 workers."""
+    """Criterion 6's ME.PO run (100 init + 2000 offspring), 1 vs 8 workers,
+    and the accepted inserts of the 1-worker run."""
     budget = SearchBudget(init_samples=100, offspring=2000)
     archives = {}
     trees = {}
     cfg = ExperimentConfig(method=Method.ME_PO, block_set=BlockSet.OBSERVER, runs=1, budget=budget)
-    for workers in (1, 8):
-        archive, log = map_elites_run(budget, PO, DEC_OBS, TICK, FIT, seed=5150, workers=workers)
+    with pytest.MonkeyPatch.context() as mp:
+        accepted = record_accepted_inserts(mp)
+        runs = {1: map_elites_run(budget, PO, DEC_OBS, TICK, FIT, seed=5150, workers=1)}
+    runs[8] = map_elites_run(budget, PO, DEC_OBS, TICK, FIT, seed=5150, workers=8)
+    for workers, (archive, log) in runs.items():
         out = tmp_path_factory.mktemp(f"workers_{workers}")
-        save_archive(archive, str(out / "archive"), cfg, seed=5150)
+        save_archive(archive, str(out / "archive"), cfg, seed=5150, evaluations=log.evaluations)
         (out / "log.csv").write_text(log.to_csv())
         tree = {}
         for dirpath, _dirs, files in os.walk(out):
@@ -253,22 +259,22 @@ def determinism_runs(tmp_path_factory):
                     tree[os.path.relpath(path, out)] = fh.read()
         archives[workers] = archive
         trees[workers] = tree
-    return archives, trees
+    return archives, trees, accepted
 
 
 class TestCriterion6Determinism:
     def test_criterion_6_worker_independence(self, determinism_runs):
-        _archives, trees = determinism_runs
+        _archives, trees, _accepted = determinism_runs
         report(6, "ME.PO run with 1 worker and 8 workers yields byte-identical archives and logs", trees[1] == trees[8])
 
 
 class TestCriterion7ArchiveInvariants:
     def test_criterion_7_archive_invariants(self, determinism_runs):
-        archives, _trees = determinism_runs
+        archives, _trees, accepted = determinism_runs
         archive: Archive = archives[1]
 
         series = {}
-        for _eval, bin_index, fitness in archive.history:
+        for bin_index, fitness, _eval in accepted:
             series.setdefault(bin_index, []).append(fitness)
         monotone = all(all(b > a for a, b in zip(s, s[1:])) for s in series.values())
 

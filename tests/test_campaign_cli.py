@@ -14,6 +14,7 @@ from voxelflight import (
     ExperimentConfig,
     FitnessConfig,
     Method,
+    Orientation,
     SearchBudget,
     TickConfig,
     decode,
@@ -91,13 +92,13 @@ class TestCampaign:
         cfg = tiny_config(tmp_path / "pf", method=Method.PF, runs=1)
         [outcome] = run_campaign(cfg)
         assert (tmp_path / "pf" / "runs" / "run_000" / "population.txt").exists()
-        assert isinstance(outcome.succeeded, bool)
+        assert all(isinstance(o, Orientation) and n >= 1 for o, n in outcome.first_flights.items())
 
     def test_direction_counting_contract(self, tmp_path):
         cfg = tiny_config(tmp_path)
         outcomes = [
-            RunOutcome(0, True, 500, ("NORTH", "SOUTH"), 55.0, 1000),
-            RunOutcome(1, False, None, (), 3.0, 1000),
+            RunOutcome(0, {Orientation.SOUTH: 700, Orientation.NORTH: 500}, 55.0),
+            RunOutcome(1, {}, 3.0),
         ]
         write_summary(cfg, outcomes)
         summary = read_csv(tmp_path / "summary.csv")[0]
@@ -127,18 +128,22 @@ class TestCampaign:
             return real_evaluate(*args)
 
         monkeypatch.setattr(search, "evaluate", counting_evaluate)
-        outcome, _log = run_single(tiny_config("unused", method=method), 3, str(tmp_path / "run"))
+        run_single(tiny_config("unused", method=method), 3, str(tmp_path / "run"))
         expected = TINY.mu + TINY.lam * TINY.generations if method is Method.PF else TINY.init_samples + TINY.offspring
-        assert outcome.evaluations == len(calls) == expected
+        last = (tmp_path / "run" / "log.csv").read_text().splitlines()[-1]
+        total = int(last.split(",")[0])
+        assert total == len(calls) == expected
+        if method is Method.ME_PO:
+            manifest = (tmp_path / "run" / "archive" / "manifest.txt").read_text().splitlines()
+            assert f"evaluations = {total}" in manifest
 
     def test_summary_matches_log_recount(self, tmp_path):
         cfg = tiny_config(tmp_path / "c", runs=1)
         [outcome] = run_campaign(cfg)
         log_path = tmp_path / "c" / "runs" / "run_000" / "log.csv"
         rows = [line.split(",") for line in log_path.read_text().strip().splitlines()[1:]]
-        last = rows[-1]
-        directions_in_log = sum(1 for v in last[4:10] if int(v) > 0)
-        assert directions_in_log == len(outcome.directions)
+        firsts_in_log = [int(v) for v in rows[-1][4:10]]
+        assert firsts_in_log == [outcome.first_flights.get(o, 0) for o in Orientation]
 
 
 class TestArchivePersistence:
@@ -149,16 +154,15 @@ class TestArchivePersistence:
         genome = genome_for_shape(shape, decode_cfg)
         result = evaluate(genome, decode_cfg, TickConfig(), FitnessConfig())
         layout = ArchiveLayout(Characterization.PISTON_ORIENTATION)
-        archive = Archive(layout)
-        archive.evaluations = 1
+        archive = Archive()
         bin_index = layout.bin_index(layout.descriptor(decode(genome, decode_cfg)))
-        archive.insert(bin_index, genome, result)
+        archive.insert(bin_index, genome, result, 1)
         return archive, bin_index, genome, result
 
     def test_export_round_trip(self, tmp_path, fixtures_dir):
         archive, bin_index, genome, result = self._flyer_archive(fixtures_dir)
         cfg = tiny_config(tmp_path, runs=1)
-        save_archive(archive, str(tmp_path / "archive"), cfg, seed=0)
+        save_archive(archive, str(tmp_path / "archive"), cfg, seed=0, evaluations=1)
 
         out = tmp_path / "flyer_export.shape"
         rc = main([
@@ -181,11 +185,11 @@ class TestArchivePersistence:
         decoded = decode(genome, cfg.decode_config())
         assert decoded != shape  # the two block sets read these genes differently
         layout = ArchiveLayout(Characterization.PISTON_ORIENTATION)
-        archive = Archive(layout)
+        archive = Archive()
         bin_index = layout.bin_index(layout.descriptor(decoded))
-        archive.insert(bin_index, genome, evaluate(genome, cfg.decode_config(), cfg.tick_config(), FitnessConfig()))
+        archive.insert(bin_index, genome, evaluate(genome, cfg.decode_config(), cfg.tick_config(), FitnessConfig()), 1)
         archive_dir = str(tmp_path / "archive")
-        save_archive(archive, archive_dir, cfg, seed=0)
+        save_archive(archive, archive_dir, cfg, seed=0, evaluations=1)
 
         out = tmp_path / "export.shape"
         assert main(["export", "--in", str(tmp_path), "--bin", str(bin_index), "--out", str(out)]) == 0
@@ -199,7 +203,7 @@ class TestArchivePersistence:
     def test_export_missing_bin(self, tmp_path, fixtures_dir):
         archive, bin_index, _, _ = self._flyer_archive(fixtures_dir)
         cfg = tiny_config(tmp_path, runs=1)
-        save_archive(archive, str(tmp_path / "archive"), cfg, seed=0)
+        save_archive(archive, str(tmp_path / "archive"), cfg, seed=0, evaluations=1)
         from voxelflight.campaign import SelectorError, export_shape_file
 
         with pytest.raises(SelectorError):
@@ -209,7 +213,7 @@ class TestArchivePersistence:
         # The empty-bin case of TestCli.test_user_errors_exit_2_with_one_line;
         # it needs an archive on disk, which that test's empty directory cannot hold.
         archive, bin_index, _, _ = self._flyer_archive(fixtures_dir)
-        save_archive(archive, str(tmp_path / "archive"), tiny_config(tmp_path, runs=1), seed=0)
+        save_archive(archive, str(tmp_path / "archive"), tiny_config(tmp_path, runs=1), seed=0, evaluations=1)
         out = tmp_path / "x.shape"
         assert console_main(["export", "--in", str(tmp_path), "--bin", str(bin_index + 1), "--out", str(out)]) == 2
         captured = capsys.readouterr()
@@ -219,7 +223,7 @@ class TestArchivePersistence:
 
     def test_export_of_genome_value_outside_unit_interval_exits_2(self, tmp_path, capsys, fixtures_dir):
         archive, bin_index, genome, _ = self._flyer_archive(fixtures_dir)
-        save_archive(archive, str(tmp_path / "archive"), tiny_config(tmp_path, runs=1), seed=0)
+        save_archive(archive, str(tmp_path / "archive"), tiny_config(tmp_path, runs=1), seed=0, evaluations=1)
         stored = tmp_path / "archive" / "bins" / f"{bin_index}.genome"
         stored.write_text(genome_to_line(genome).replace("0.25", "-0.25", 1) + "\n")
         out = tmp_path / "x.shape"
@@ -235,7 +239,7 @@ class TestArchivePersistence:
     def test_export_of_bad_manifest_exits_2_naming_it(self, tmp_path, capsys, fixtures_dir, key, value, message):
         # Export decodes and describes the bin with the manifest's settings; none of these rows gives it a layout and block set.
         archive, bin_index, _, _ = self._flyer_archive(fixtures_dir)
-        save_archive(archive, str(tmp_path / "archive"), tiny_config(tmp_path, runs=1), seed=0)
+        save_archive(archive, str(tmp_path / "archive"), tiny_config(tmp_path, runs=1), seed=0, evaluations=1)
         manifest = tmp_path / "archive" / "manifest.txt"
         lines = manifest.read_text().splitlines()
         manifest.write_text("\n".join(f"{key} = {value}" if line.startswith(f"{key} = ") else line for line in lines) + "\n")
@@ -356,6 +360,7 @@ class TestCli:
         ["export", "--in", "no_such_run", "--bin", "0", "--out", "x.shape"],
         ["run", "--method", "pf", "--lambda", "0", "--evals", "10"],
         ["report", "--in", "."],
+        ["run", "--seed", "-1"],
     ])
     def test_user_errors_exit_2_with_one_line(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
@@ -391,7 +396,7 @@ class TestCli:
     ])
     def test_report_of_malformed_row_exits_2_naming_the_file(self, tmp_path, capsys, name, row, message):
         # Every file is checked before anything is printed, so a bad last row leaves stdout empty.
-        outcomes = [RunOutcome(100, False, None, (), 1.5, 45), RunOutcome(101, False, None, (), 2.5, 45)]
+        outcomes = [RunOutcome(100, {}, 1.5), RunOutcome(101, {}, 2.5)]
         write_summary(tiny_config(tmp_path), outcomes)
         path = tmp_path / name
         path.write_text(path.read_text() + row + "\n")

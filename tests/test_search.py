@@ -21,6 +21,8 @@ from voxelflight import (
 )
 from voxelflight import search
 
+from helpers import record_accepted_inserts
+
 DEC = DecodeConfig(block_set=BlockSet.OBSERVER)
 TICK = TickConfig()
 FIT = FitnessConfig()
@@ -39,33 +41,34 @@ def tiny_budget(**kw):
 
 class TestInsert:
     def test_empty_bin_accepts(self):
-        archive = Archive(PO)
-        assert archive.insert(0, np.zeros(81), result_with(1.0))
+        archive = Archive()
+        assert archive.insert(0, np.zeros(81), result_with(1.0), 1)
 
     def test_tie_keeps_incumbent(self):
-        archive = Archive(PO)
-        archive.insert(0, np.zeros(81), result_with(1.0))
-        assert not archive.insert(0, np.ones(81), result_with(1.0))
+        archive = Archive()
+        archive.insert(0, np.zeros(81), result_with(1.0), 1)
+        assert not archive.insert(0, np.ones(81), result_with(1.0), 2)
         assert archive.bins[0].genome[0] == 0.0
 
     def test_strictly_fitter_replaces(self):
-        archive = Archive(PO)
-        archive.insert(0, np.zeros(81), result_with(1.0))
-        assert archive.insert(0, np.ones(81), result_with(1.5))
+        archive = Archive()
+        archive.insert(0, np.zeros(81), result_with(1.0), 1)
+        assert archive.insert(0, np.ones(81), result_with(1.5), 2)
         assert archive.bins[0].fitness == 1.5
+        assert archive.bins[0].discovered_eval == 2
 
 
 class TestMapElites:
     def test_zero_offspring_is_init_only(self):
         budget = tiny_budget(offspring=0)
         archive, log = map_elites_run(budget, PO, DEC, TICK, FIT, seed=1)
-        assert archive.evaluations == budget.init_samples
+        assert log.evaluations == budget.init_samples
         assert 1 <= archive.occupied <= PO.total_bins
 
     def test_occupied_bounds_after_run(self):
-        archive, _ = map_elites_run(tiny_budget(), PO, DEC, TICK, FIT, seed=2)
+        archive, log = map_elites_run(tiny_budget(), PO, DEC, TICK, FIT, seed=2)
         assert 1 <= archive.occupied <= PO.total_bins
-        assert archive.evaluations == 30 + 120
+        assert log.evaluations == 30 + 120
 
     def test_crossover_prob_zero_runs_clean(self):
         archive, _ = map_elites_run(tiny_budget(crossover_prob=0.0), PO, DEC, TICK, FIT, seed=3)
@@ -90,14 +93,22 @@ class TestMapElites:
             assert a1.bins[idx].fitness == a4.bins[idx].fitness
         assert log1.rows == log4.rows
 
-    def test_per_bin_fitness_series_non_decreasing(self):
-        archive, _ = map_elites_run(tiny_budget(offspring=300), PO, DEC, TICK, FIT, seed=13)
+    def test_per_bin_fitness_series_non_decreasing(self, monkeypatch):
+        accepted = record_accepted_inserts(monkeypatch)
+        map_elites_run(tiny_budget(offspring=300), PO, DEC, TICK, FIT, seed=13)
         series: dict[int, list[float]] = {}
-        for _eval, bin_index, fitness in archive.history:
+        for bin_index, fitness, _eval in accepted:
             series.setdefault(bin_index, []).append(fitness)
         assert series
         for fitnesses in series.values():
             assert all(b > a for a, b in zip(fitnesses, fitnesses[1:]))
+
+    def test_discovered_eval_is_the_last_accepted_insert(self, monkeypatch):
+        accepted = record_accepted_inserts(monkeypatch)
+        archive, log = map_elites_run(tiny_budget(), PO, DEC, TICK, FIT, seed=31)
+        last = {bin_index: eval_number for bin_index, _fitness, eval_number in accepted}
+        assert {idx: entry.discovered_eval for idx, entry in archive.bins.items()} == last
+        assert all(1 <= entry.discovered_eval <= log.evaluations for entry in archive.bins.values())
 
     def test_occupants_map_to_their_bins(self):
         archive, _ = map_elites_run(tiny_budget(), PO, DEC, TICK, FIT, seed=17)
