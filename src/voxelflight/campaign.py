@@ -19,12 +19,8 @@ from .behavior import ArchiveLayout, Characterization
 from .blocks import BlockSet, Orientation, write_shape_file
 from .fitness import FitnessConfig, evaluate_shape
 from .genome import DecodeConfig, Genome, decode, genome_from_line, genome_to_line
-from .search import Archive, Population, SearchBudget, map_elites_run, mu_plus_lambda_run
+from .search import Archive, Population, RunLog, SearchBudget, map_elites_run, mu_plus_lambda_run
 from .sim import TickConfig
-
-
-class ConfigError(ValueError):
-    """An experiment configuration violates its invariants."""
 
 
 class SelectorError(ValueError):
@@ -59,11 +55,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.runs < 1:
-            raise ConfigError("runs must be >= 1")
+            raise ValueError("runs must be >= 1")
         if self.seed_base < 0:
-            raise ConfigError("seed must be >= 0")
+            raise ValueError("seed must be >= 0")
         if self.log_interval < 1:
-            raise ConfigError("log_interval must be >= 1")
+            raise ValueError("log_interval must be >= 1")
 
     def decode_config(self) -> DecodeConfig:
         return DecodeConfig(block_set=self.block_set)
@@ -73,13 +69,6 @@ class ExperimentConfig:
 
     def fitness_config(self) -> FitnessConfig:
         return FitnessConfig()
-
-
-@dataclass
-class RunOutcome:
-    seed: int
-    first_flights: dict[Orientation, int]  # the run log's exact first flight per direction flown
-    best_fitness: float
 
 
 def round_up_to_interval(value: int, interval: int) -> int:
@@ -150,7 +139,7 @@ def save_population(population: Population, path: str) -> None:
             fh.write(f"{ind.fitness!r} {genome_to_line(ind.genome)}\n")
 
 
-def run_single(cfg: ExperimentConfig, seed: int, run_dir: str) -> RunOutcome:
+def run_single(cfg: ExperimentConfig, seed: int, run_dir: str) -> RunLog:
     """One search run; writes log.csv plus an archive or population snapshot under `run_dir`."""
     decode_cfg = cfg.decode_config()
     tick_cfg = cfg.tick_config()
@@ -160,37 +149,35 @@ def run_single(cfg: ExperimentConfig, seed: int, run_dir: str) -> RunOutcome:
         population, log = mu_plus_lambda_run(
             cfg.budget, decode_cfg, tick_cfg, fit_cfg, seed, log_interval=cfg.log_interval,
         )
-        best = max(ind.fitness for ind in population)
         save_population(population, os.path.join(run_dir, "population.txt"))
     else:
         layout = ArchiveLayout(cfg.method.characterization)
         archive, log = map_elites_run(
             cfg.budget, layout, decode_cfg, tick_cfg, fit_cfg, seed, log_interval=cfg.log_interval,
         )
-        best = archive.best_fitness
         save_archive(archive, os.path.join(run_dir, "archive"), cfg, seed, log.evaluations)
     with open(os.path.join(run_dir, "log.csv"), "w") as fh:
         fh.write(log.to_csv())
-    return RunOutcome(seed, log.first_flights, best)
+    return log
 
 
-def run_campaign(cfg: ExperimentConfig) -> list[RunOutcome]:
+def run_campaign(cfg: ExperimentConfig) -> list[RunLog]:
     """Execute `cfg.runs` independent runs, replacing any earlier `runs/`, and write the aggregated summary."""
     os.makedirs(cfg.out_dir, exist_ok=True)
     runs_dir = os.path.join(cfg.out_dir, "runs")
     if os.path.isdir(runs_dir):
         shutil.rmtree(runs_dir)
-    outcomes = [run_single(cfg, cfg.seed_base + i, os.path.join(runs_dir, f"run_{i:03d}")) for i in range(cfg.runs)]
-    write_summary(cfg, outcomes)
-    return outcomes
+    logs = [run_single(cfg, cfg.seed_base + i, os.path.join(runs_dir, f"run_{i:03d}")) for i in range(cfg.runs)]
+    write_summary(cfg, logs)
+    return logs
 
 
-def write_summary(cfg: ExperimentConfig, outcomes: list[RunOutcome]) -> None:
+def write_summary(cfg: ExperimentConfig, logs: list[RunLog]) -> None:
     """Write `summary.csv` (successes, distinct directions per run), `directions.csv`
-    (runs with a flight per direction) and `first_flights.csv` (per run, rounded up
-    to the log interval and exact) into `cfg.out_dir`."""
-    successes = sum(bool(o.first_flights) for o in outcomes)
-    distinct = [len(o.first_flights) for o in outcomes]
+    (runs with a flight per direction) and `first_flights.csv` (per run with seed
+    `cfg.seed_base + i`, rounded up to the log interval and exact) into `cfg.out_dir`."""
+    successes = sum(bool(log.first_flights) for log in logs)
+    distinct = [len(log.first_flights) for log in logs]
     with open(os.path.join(cfg.out_dir, "summary.csv"), "w") as fh:
         fh.write("method,block_set,runs,success_count,success_pct,avg_distinct_directions,max_distinct_directions\n")
         fh.write(
@@ -200,14 +187,14 @@ def write_summary(cfg: ExperimentConfig, outcomes: list[RunOutcome]) -> None:
     with open(os.path.join(cfg.out_dir, "directions.csv"), "w") as fh:
         fh.write("direction,runs_with_flight,pct\n")
         for orient in Orientation:
-            count = sum(orient in o.first_flights for o in outcomes)
+            count = sum(orient in log.first_flights for log in logs)
             fh.write(f"{orient.name},{count},{100.0 * count / cfg.runs!r}\n")
     with open(os.path.join(cfg.out_dir, "first_flights.csv"), "w") as fh:
         fh.write("run,seed,first_flight_rounded,first_flight_exact,best_fitness\n")
-        for i, outcome in enumerate(outcomes):
-            exact = min(outcome.first_flights.values(), default=None)
+        for i, log in enumerate(logs):
+            exact = min(log.first_flights.values(), default=None)
             rounded = "never" if exact is None else round_up_to_interval(exact, cfg.log_interval)
-            fh.write(f"{i},{outcome.seed},{rounded},{'never' if exact is None else exact},{outcome.best_fitness!r}\n")
+            fh.write(f"{i},{cfg.seed_base + i},{rounded},{'never' if exact is None else exact},{log.best_fitness!r}\n")
 
 
 def export_shape_file(cfg: ExperimentConfig, archive_dir: str, bin_index: int, out_path: str) -> None:

@@ -63,14 +63,6 @@ class Archive:
         self.bins[bin_index] = BinEntry(genome.copy(), result.fitness, result.flew, result.direction, eval_number)
         return True
 
-    @property
-    def best_fitness(self) -> float:
-        return max((e.fitness for e in self.bins.values()), default=0.0)
-
-    @property
-    def occupied(self) -> int:
-        return len(self.bins)
-
 
 # The first-flight columns follow `Orientation`, as `RunLog.snapshot` does.
 LOG_COLUMNS = (
@@ -84,8 +76,12 @@ LOG_COLUMNS = (
 @dataclass
 class RunLog:
     """Snapshot rows taken every `log_interval` evaluations and after the
-    last one, plus the total number of evaluations recorded.
+    last one, plus the total number of evaluations recorded and the best
+    fitness evaluated so far.
 
+    Both searches are elitist, so the best fitness evaluated is also the best
+    the archive or population holds. Only a strictly greater result replaces
+    it, so of equal values (the int 0 and 0.0) the earliest stays, as in `max`.
     First-flight columns hold the exact evaluation number that first flew in
     that direction, or 0 while none has.
     """
@@ -94,18 +90,21 @@ class RunLog:
     first_flights: dict[Orientation, int] = field(default_factory=dict)
     flights: int = 0
     evaluations: int = 0
+    best_fitness: float = float("-inf")  # the max of no results
 
     def record_result(self, result: EvaluationResult) -> int:
-        """Count one evaluation and its flight, if any; return its evaluation number."""
+        """Count one evaluation, its fitness and its flight, if any; return its evaluation number."""
         self.evaluations += 1
+        if result.fitness > self.best_fitness:
+            self.best_fitness = result.fitness
         if result.flew:
             self.flights += 1
             self.first_flights.setdefault(result.direction, self.evaluations)
         return self.evaluations
 
-    def snapshot(self, eval_number: int, occupied: int, best: float) -> None:
+    def snapshot(self, occupied: int) -> None:
         firsts = tuple(self.first_flights.get(o, 0) for o in Orientation)
-        self.rows.append((eval_number, occupied, best, self.flights) + firsts)
+        self.rows.append((self.evaluations, occupied, self.best_fitness, self.flights) + firsts)
 
     def to_csv(self) -> str:
         lines = [",".join(LOG_COLUMNS)]
@@ -117,7 +116,7 @@ class RunLog:
 def _search(
     batches: Iterable[list[Genome]],
     tell: Callable[[int, Genome, EvaluationResult], None],
-    stats: Callable[[], tuple[int, float]],
+    occupied: Callable[[], int],
     decode_cfg: DecodeConfig,
     tick_cfg: TickConfig,
     fit_cfg: FitnessConfig,
@@ -127,9 +126,9 @@ def _search(
 
     `batches` asks for the next batch only once the previous one has been
     told, so the emitter sees all results so far. Every `log_interval`
-    evaluations, and after the last one, the log takes a snapshot of
-    `stats()` (occupied bins, best fitness). The returned log carries the
-    number of evaluations made.
+    evaluations, and after the last one, the log takes a snapshot with
+    `occupied()` bins. The returned log carries the number of evaluations
+    made and the best fitness among them.
     """
     log = RunLog()
     for batch in batches:
@@ -138,9 +137,9 @@ def _search(
             eval_number = log.record_result(result)
             tell(eval_number, genome, result)
             if eval_number % log_interval == 0:
-                log.snapshot(eval_number, *stats())
+                log.snapshot(occupied())
     if log.evaluations % log_interval != 0:
-        log.snapshot(log.evaluations, *stats())
+        log.snapshot(occupied())
     return log
 
 
@@ -182,9 +181,7 @@ def map_elites_run(
     def tell(eval_number: int, genome: Genome, result: EvaluationResult) -> None:
         archive.insert(layout.bin_index(layout.descriptor(decode(genome, decode_cfg))), genome, result, eval_number)
 
-    log = _search(
-        ask(), tell, lambda: (archive.occupied, archive.best_fitness), decode_cfg, tick_cfg, fit_cfg, log_interval,
-    )
+    log = _search(ask(), tell, lambda: len(archive.bins), decode_cfg, tick_cfg, fit_cfg, log_interval)
     return archive, log
 
 
@@ -255,7 +252,5 @@ def mu_plus_lambda_run(
     def tell(eval_number: int, genome: Genome, result: EvaluationResult) -> None:
         pool.append(Individual(genome, result.fitness, eval_number - 1))
 
-    log = _search(
-        ask(), tell, lambda: (budget.mu, max(ind.fitness for ind in pool)), decode_cfg, tick_cfg, fit_cfg, log_interval,
-    )
+    log = _search(ask(), tell, lambda: budget.mu, decode_cfg, tick_cfg, fit_cfg, log_interval)
     return population, log

@@ -15,6 +15,7 @@ from voxelflight import (
     FitnessConfig,
     Method,
     Orientation,
+    RunLog,
     SearchBudget,
     TickConfig,
     decode,
@@ -24,7 +25,6 @@ from voxelflight import (
     run_campaign,
 )
 from voxelflight.campaign import (
-    RunOutcome,
     load_manifest_config,
     round_up_to_interval,
     run_single,
@@ -70,8 +70,8 @@ def tree_bytes(root):
 class TestCampaign:
     def test_outputs_written(self, tmp_path):
         cfg = tiny_config(tmp_path / "c")
-        outcomes = run_campaign(cfg)
-        assert [o.seed for o in outcomes] == [100, 101]
+        run_campaign(cfg)
+        assert [row["seed"] for row in read_csv(tmp_path / "c" / "first_flights.csv")] == ["100", "101"]
         assert (tmp_path / "c" / "summary.csv").exists()
         assert (tmp_path / "c" / "directions.csv").exists()
         assert (tmp_path / "c" / "first_flights.csv").exists()
@@ -90,17 +90,17 @@ class TestCampaign:
 
     def test_pf_campaign_runs(self, tmp_path):
         cfg = tiny_config(tmp_path / "pf", method=Method.PF, runs=1)
-        [outcome] = run_campaign(cfg)
+        [log] = run_campaign(cfg)
         assert (tmp_path / "pf" / "runs" / "run_000" / "population.txt").exists()
-        assert all(isinstance(o, Orientation) and n >= 1 for o, n in outcome.first_flights.items())
+        assert all(isinstance(o, Orientation) and n >= 1 for o, n in log.first_flights.items())
 
     def test_direction_counting_contract(self, tmp_path):
         cfg = tiny_config(tmp_path)
-        outcomes = [
-            RunOutcome(0, {Orientation.SOUTH: 700, Orientation.NORTH: 500}, 55.0),
-            RunOutcome(1, {}, 3.0),
+        logs = [
+            RunLog(first_flights={Orientation.SOUTH: 700, Orientation.NORTH: 500}, best_fitness=55.0),
+            RunLog(first_flights={}, best_fitness=3.0),
         ]
-        write_summary(cfg, outcomes)
+        write_summary(cfg, logs)
         summary = read_csv(tmp_path / "summary.csv")[0]
         assert summary["success_count"] == "1"
         assert summary["avg_distinct_directions"] == "1.0"
@@ -139,11 +139,11 @@ class TestCampaign:
 
     def test_summary_matches_log_recount(self, tmp_path):
         cfg = tiny_config(tmp_path / "c", runs=1)
-        [outcome] = run_campaign(cfg)
+        [log] = run_campaign(cfg)
         log_path = tmp_path / "c" / "runs" / "run_000" / "log.csv"
         rows = [line.split(",") for line in log_path.read_text().strip().splitlines()[1:]]
         firsts_in_log = [int(v) for v in rows[-1][4:10]]
-        assert firsts_in_log == [outcome.first_flights.get(o, 0) for o in Orientation]
+        assert firsts_in_log == [log.first_flights.get(o, 0) for o in Orientation]
 
 
 class TestArchivePersistence:
@@ -396,8 +396,8 @@ class TestCli:
     ])
     def test_report_of_malformed_row_exits_2_naming_the_file(self, tmp_path, capsys, name, row, message):
         # Every file is checked before anything is printed, so a bad last row leaves stdout empty.
-        outcomes = [RunOutcome(100, {}, 1.5), RunOutcome(101, {}, 2.5)]
-        write_summary(tiny_config(tmp_path), outcomes)
+        logs = [RunLog(first_flights={}, best_fitness=1.5), RunLog(first_flights={}, best_fitness=2.5)]
+        write_summary(tiny_config(tmp_path), logs)
         path = tmp_path / name
         path.write_text(path.read_text() + row + "\n")
         assert console_main(["report", "--in", str(tmp_path)]) == 2

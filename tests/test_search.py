@@ -6,11 +6,15 @@ import pytest
 from voxelflight import (
     Archive,
     ArchiveLayout,
+    BlockKind,
+    BlockPlacement,
     BlockSet,
     Characterization,
     DecodeConfig,
     EvaluationResult,
     FitnessConfig,
+    Method,
+    Orientation,
     SearchBudget,
     TickConfig,
     decode,
@@ -21,7 +25,7 @@ from voxelflight import (
 )
 from voxelflight import search
 
-from helpers import record_accepted_inserts
+from helpers import genome_for_shape, record_accepted_inserts
 
 DEC = DecodeConfig(block_set=BlockSet.OBSERVER)
 TICK = TickConfig()
@@ -63,16 +67,16 @@ class TestMapElites:
         budget = tiny_budget(offspring=0)
         archive, log = map_elites_run(budget, PO, DEC, TICK, FIT, seed=1)
         assert log.evaluations == budget.init_samples
-        assert 1 <= archive.occupied <= PO.total_bins
+        assert 1 <= len(archive.bins) <= PO.total_bins
 
     def test_occupied_bounds_after_run(self):
         archive, log = map_elites_run(tiny_budget(), PO, DEC, TICK, FIT, seed=2)
-        assert 1 <= archive.occupied <= PO.total_bins
+        assert 1 <= len(archive.bins) <= PO.total_bins
         assert log.evaluations == 30 + 120
 
     def test_crossover_prob_zero_runs_clean(self):
         archive, _ = map_elites_run(tiny_budget(crossover_prob=0.0), PO, DEC, TICK, FIT, seed=3)
-        assert archive.occupied >= 1
+        assert len(archive.bins) >= 1
 
     def test_reproducible_from_seed(self):
         a1, log1 = map_elites_run(tiny_budget(), PO, DEC, TICK, FIT, seed=7)
@@ -131,7 +135,8 @@ class TestMapElites:
         budget = tiny_budget(init_samples=10, offspring=15)
         archive, log = map_elites_run(budget, PO, DEC, TICK, FIT, seed=23, log_interval=10)
         assert [row[0] for row in log.rows] == [10, 20, 25]
-        assert log.rows[-1][:4] == (log.evaluations, archive.occupied, archive.best_fitness, log.flights)
+        best = max(e.fitness for e in archive.bins.values())
+        assert log.rows[-1][:4] == (log.evaluations, len(archive.bins), best, log.flights)
 
     def test_log_csv_shape(self):
         _, log = map_elites_run(tiny_budget(offspring=40), PO, DEC, TICK, FIT, seed=29)
@@ -145,9 +150,9 @@ class TestMuPlusLambda:
         budget = tiny_budget(mu=3, lam=5, generations=4)
         pop, log = mu_plus_lambda_run(budget, DEC, TICK, FIT, seed=1)
         assert len(pop) == 3
-        flights_plus = log.rows  # snapshots only at interval multiples
         # 3 + 5*4 = 23 evaluations in total
-        assert max((row[0] for row in log.rows), default=0) <= 23
+        assert log.evaluations == 23
+        assert log.rows[-1][0] == 23
 
     def test_log_ends_at_the_last_evaluation(self):
         pop, log = mu_plus_lambda_run(tiny_budget(mu=4, lam=3, generations=3), DEC, TICK, FIT, seed=1, log_interval=7)
@@ -159,8 +164,6 @@ class TestMuPlusLambda:
         assert budget.mu + budget.lam * budget.generations == 60_120
 
     def test_elitist_best_non_decreasing(self):
-        best_series = []
-
         pop, log = mu_plus_lambda_run(
             tiny_budget(mu=5, lam=5, generations=12), DEC, TICK, FIT, seed=3, log_interval=5,
         )
@@ -205,3 +208,46 @@ class TestMuPlusLambda:
         assert log1.rows == log3.rows
         for a, b in zip(p1, p3):
             assert (a.genome == b.genome).all() and a.fitness == b.fitness
+
+
+MINI = SearchBudget(init_samples=2, offspring=6, mu=2, lam=2, generations=3)
+
+
+@pytest.mark.parametrize("method", ["me-c", "me-cn", "me-po", "pf"])
+@pytest.mark.parametrize("seed", [0, 1, 3])  # seed 3 starts with a static genome, so its first best is 0.0
+@pytest.mark.parametrize("budget, zero_tie_first", [
+    (MINI, False),
+    (MINI, True),
+    (tiny_budget(offspring=40, generations=6), False),
+], ids=["tiny", "tiny-zero-tie-first", "small"])
+def test_log_best_is_the_elitist_best(method, seed, budget, zero_tie_first, monkeypatch):
+    """The log's running best is what a scan of the archive or population
+    gives, down to its repr: among tied values the log keeps the earliest,
+    as `max` over bins or survivors does."""
+    if zero_tie_first:
+        # The first two genomes tie at zero: the empty shape has no centre of
+        # mass and scores the int 0, and a lone block is static and scores 0.0.
+        lone_block = genome_for_shape([BlockPlacement((0, 0, 0), BlockKind.SLIME_BLOCK, Orientation.UP)], DEC)
+        firsts = [np.zeros(DEC.genome_length), lone_block]
+        real_random_genome = search.random_genome
+        monkeypatch.setattr(
+            search, "random_genome", lambda rng, n: firsts.pop(0) if firsts else real_random_genome(rng, n),
+        )
+    characterization = Method(method).characterization
+    if characterization is None:
+        pop, log = mu_plus_lambda_run(budget, DEC, TICK, FIT, seed=seed, log_interval=1)
+        assert repr(log.best_fitness) == repr(log.rows[-1][2]) == repr(max(ind.fitness for ind in pop))
+    else:
+        accepted = record_accepted_inserts(monkeypatch)
+        _, log = map_elites_run(budget, ArchiveLayout(characterization), DEC, TICK, FIT, seed=seed, log_interval=1)
+        assert [row[0] for row in log.rows] == list(range(1, log.evaluations + 1))
+        inserted = {eval_number: (bin_index, fitness) for bin_index, fitness, eval_number in accepted}
+        elites: dict[int, float] = {}
+        for row in log.rows:
+            if row[0] in inserted:
+                bin_index, fitness = inserted[row[0]]
+                elites[bin_index] = fitness
+            assert row[1] == len(elites)
+            assert repr(row[2]) == repr(max(elites.values()))
+    if zero_tie_first:
+        assert [repr(row[2]) for row in log.rows[:2]] == ["0", "0"]
