@@ -15,6 +15,10 @@ from typing import Iterable, NamedTuple, Optional
 
 Vec3 = tuple[int, int, int]
 
+# Builds a NamedTuple from a tuple of its fields in C, skipping the
+# Python-level `__new__` that calling the class runs.
+_new = tuple.__new__
+
 
 class OverlapError(ValueError):
     """Two placements target the same cell, or a target cell is occupied."""
@@ -212,7 +216,7 @@ def place_shape(world: WorldState, shape: Iterable[BlockPlacement], origin: Vec3
         target = (ox + x, oy + y, oz + z)
         if target in blocks:
             raise OverlapError(f"target cell {target} already occupied")
-        blocks[target] = Block(kind, orient)
+        blocks[target] = _new(Block, (kind, orient, False))
     return new
 
 

@@ -14,7 +14,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .blocks import BlockPlacement, BlockSet, ORIENTATION_ORDER, SPAWN_BOX_SIZE
+from .blocks import BlockPlacement, BlockSet, ORIENTATION_ORDER, SPAWN_BOX_SIZE, _new
 
 Genome = np.ndarray
 
@@ -51,23 +51,25 @@ class DecodeConfig:
 
 # Cell of each gene triple, in genome order; `cell_for_index` defines the order.
 _CELLS = tuple(DecodeConfig().cell_for_index(i) for i in range(DecodeConfig.volume))
+# Orientation by interval index, the last repeated: a gene of exactly 1.0 maps
+# to index 6, which is the last interval, as `min(int(g * 6), 5)` would give.
+_ORIENTS = ORIENTATION_ORDER + ORIENTATION_ORDER[-1:]
 
 
 def decode(genome: Genome, cfg: DecodeConfig) -> list[BlockPlacement]:
-    """Turn a genome into block placements in deterministic cell order."""
+    """Turn a genome into block placements in deterministic cell order. Genes
+    lie in [0, 1], as `genome_from_line` enforces: the interval tables assume it."""
     if len(genome) != cfg.genome_length:
         raise LengthMismatchError(f"expected length {cfg.genome_length}, got {len(genome)}")
     # Python floats hold the same doubles as the array, without numpy's per-element boxing.
     genes = genome.tolist()
     members = cfg.block_set.members
     k = len(members)
+    kinds = members + members[-1:]  # as `_ORIENTS`: a gene of 1.0 maps to the last kind
     shape: list[BlockPlacement] = []
     for cell, presence, kind_gene, orient_gene in zip(_CELLS, genes[0::3], genes[1::3], genes[2::3]):
-        if presence <= PRESENCE_THRESHOLD:
-            continue
-        kind = members[min(int(kind_gene * k), k - 1)]
-        orient = ORIENTATION_ORDER[min(int(orient_gene * 6), 5)]
-        shape.append(BlockPlacement(cell, kind, orient))
+        if presence > PRESENCE_THRESHOLD:
+            shape.append(_new(BlockPlacement, (cell, kinds[int(kind_gene * k)], _ORIENTS[int(orient_gene * 6)])))
     return shape
 
 
@@ -91,23 +93,17 @@ def polynomial_mutate(
     """
     n = len(genome)
     mask = rng.random(n) < per_gene_rate
-    u = rng.random(n)
-    out = genome.copy()
-    if not mask.any():
-        return out
-    x = out[mask]
-    r = u[mask]
+    r = rng.random(n)
+    # Every gene gets its branch's value, elementwise (so bit for bit as if it
+    # were computed alone), and the mask picks the genes that take it.
     mut_pow = 1.0 / (eta + 1.0)
-    delta1 = x  # distance to the lower bound 0
-    delta2 = 1.0 - x  # distance to the upper bound 1
+    delta1 = genome  # distance to the lower bound 0
+    delta2 = 1.0 - genome  # distance to the upper bound 1
     low = r <= 0.5
-    deltaq = np.empty_like(x)
-    val = 2.0 * r[low] + (1.0 - 2.0 * r[low]) * (1.0 - delta1[low]) ** (eta + 1.0)
-    deltaq[low] = val**mut_pow - 1.0
-    val = 2.0 * (1.0 - r[~low]) + 2.0 * (r[~low] - 0.5) * (1.0 - delta2[~low]) ** (eta + 1.0)
-    deltaq[~low] = 1.0 - val**mut_pow
-    out[mask] = np.clip(x + deltaq, 0.0, 1.0)
-    return out
+    xy = np.where(low, 1.0 - delta1, 1.0 - delta2) ** (eta + 1.0)
+    val = np.where(low, 2.0 * r + (1.0 - 2.0 * r) * xy, 2.0 * (1.0 - r) + 2.0 * (r - 0.5) * xy) ** mut_pow
+    deltaq = np.where(low, val - 1.0, 1.0 - val)
+    return np.where(mask, np.minimum(np.maximum(genome + deltaq, 0.0), 1.0), genome)
 
 
 def crossover(a: Genome, b: Genome, rng: np.random.Generator) -> Genome:
@@ -124,7 +120,7 @@ def crossover(a: Genome, b: Genome, rng: np.random.Generator) -> Genome:
 
 def genome_to_line(genome: Genome) -> str:
     """Serialize as one space-separated line, 17 significant digits (exact replay)."""
-    return " ".join(f"{v:.17g}" for v in genome)
+    return " ".join(f"{v:.17g}" for v in genome.tolist())
 
 
 def genome_from_line(line: str) -> Genome:

@@ -42,13 +42,10 @@ from .blocks import (
     TickEvent,
     Vec3,
     WorldState,
+    _new,
     add,
     neighbors6,
 )
-
-# Builds a NamedTuple from a tuple of its fields in C, skipping the
-# Python-level `__new__` that calling the class runs.
-_new = tuple.__new__
 
 # The per-tick kernel tests kinds by identity against these constants:
 # membership in a frozenset of kinds calls the Python-level Enum.__hash__.
@@ -226,20 +223,21 @@ def step(world: WorldState, cfg: TickConfig) -> tuple[WorldState, set[Vec3]]:
             due.append(event)
         else:
             pending.append(event)
-    for event in due:
-        block = blocks.get(event.pos)
-        if block is None or not (block.kind is _PISTON or block.kind is _STICKY_PISTON) or block.orient is not event.orient:
+    for _due, action, pos, orient in due:
+        block = blocks.get(pos)
+        if block is None or not (block.kind is _PISTON or block.kind is _STICKY_PISTON) or block.orient is not orient:
             continue
-        head_pos = add(event.pos, event.orient.vector)
-        if event.action == "extend":
+        dx, dy, dz = orient.vector
+        head_pos = (pos[0] + dx, pos[1] + dy, pos[2] + dz)
+        if action == "extend":
             if block.extended:
                 continue
-            push = compute_push_set(w, event.pos, event.orient)
+            push = compute_push_set(w, pos, orient)
             if push is None:
                 continue  # blocked pistons simply do not fire
-            _translate_blocks(w, push, event.orient.vector, moved)
-            blocks[head_pos] = Block(_HEAD_STICKY if block.kind is _STICKY_PISTON else _HEAD_NORMAL, event.orient)
-            blocks[event.pos] = Block(block.kind, block.orient, True)
+            _translate_blocks(w, push, orient.vector, moved)
+            blocks[head_pos] = _new(Block, (_HEAD_STICKY if block.kind is _STICKY_PISTON else _HEAD_NORMAL, orient, False))
+            blocks[pos] = _new(Block, (block.kind, orient, True))
             moved.add(head_pos)
         else:
             if not block.extended:
@@ -249,19 +247,19 @@ def step(world: WorldState, cfg: TickConfig) -> tuple[WorldState, set[Vec3]]:
                 "extended piston lost its head"
             del blocks[head_pos]
             moved.add(head_pos)
-            blocks[event.pos] = Block(block.kind, block.orient, False)
+            blocks[pos] = _new(Block, (block.kind, orient, False))
             if block.kind is _STICKY_PISTON:
-                pull = _pull_set(w, event.pos, event.orient)
+                pull = _pull_set(w, pos, orient)
                 if pull:
-                    _translate_blocks(w, pull, event.orient.opposite.vector, moved)
+                    _translate_blocks(w, pull, orient.opposite.vector, moved)
 
     if moved:
-        for pos in sorted(p for p, b in blocks.items() if b.kind is _OBSERVER):
-            orient = blocks[pos].orient
-            if add(pos, orient.vector) in moved:
-                output = add(pos, orient.opposite.vector)
+        # An observer senses the cell it faces and powers the cell behind it.
+        for (x, y, z), block in sorted((p, b) for p, b in blocks.items() if b.kind is _OBSERVER):
+            dx, dy, dz = block.orient.vector
+            if (x + dx, y + dy, z + dz) in moved:
                 start = t + cfg.observer_pulse_delay
-                w.pulses.append(_new(Pulse, (output, start, start + cfg.observer_pulse_length)))
+                w.pulses.append(_new(Pulse, ((x - dx, y - dy, z - dz), start, start + cfg.observer_pulse_length)))
 
     if w.pulses:
         w.pulses = [p for p in w.pulses if p.end > t + 1]

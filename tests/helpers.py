@@ -52,6 +52,30 @@ def reference_decode(genome, cfg: DecodeConfig):
     return shape
 
 
+def reference_mutate(genome, rng, per_gene_rate, eta):
+    """Bounded polynomial mutation computed on the mutating genes only, each
+    branch on its own subset. `polynomial_mutate` must equal it bit for bit."""
+    n = len(genome)
+    mask = rng.random(n) < per_gene_rate
+    u = rng.random(n)
+    out = genome.copy()
+    if not mask.any():
+        return out
+    x = out[mask]
+    r = u[mask]
+    mut_pow = 1.0 / (eta + 1.0)
+    delta1 = x  # distance to the lower bound 0
+    delta2 = 1.0 - x  # distance to the upper bound 1
+    low = r <= 0.5
+    deltaq = np.empty_like(x)
+    val = 2.0 * r[low] + (1.0 - 2.0 * r[low]) * (1.0 - delta1[low]) ** (eta + 1.0)
+    deltaq[low] = val**mut_pow - 1.0
+    val = 2.0 * (1.0 - r[~low]) + 2.0 * (r[~low] - 0.5) * (1.0 - delta2[~low]) ** (eta + 1.0)
+    deltaq[~low] = 1.0 - val**mut_pow
+    out[mask] = np.clip(x + deltaq, 0.0, 1.0)
+    return out
+
+
 def translated(world: WorldState, offset) -> WorldState:
     """The same world with every position (blocks, events, pulses) shifted."""
     return WorldState(

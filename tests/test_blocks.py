@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from voxelflight import (
+    Block,
     BlockKind,
     BlockPlacement,
     Box,
@@ -74,6 +75,15 @@ class TestPlaceShape:
         w = place_shape(WorldState(), [BlockPlacement((1, 1, 1), BlockKind.REDSTONE_BLOCK, N)], (10, 10, 10))
         assert (11, 11, 11) in w.blocks
         assert w.tick == 0
+
+    def test_placed_blocks_are_unextended_blocks(self):
+        # place_shape builds each Block with tuple.__new__, which bypasses the constructor.
+        shape = [BlockPlacement((0, 0, 0), Q, N), BlockPlacement((1, 0, 0), BlockKind.PISTON, Orientation.UP)]
+        w = place_shape(WorldState(), shape, (4, 5, 6))
+        assert len(w.blocks) == 2
+        for p, b in zip(shape, w.blocks.values()):
+            assert type(b) is Block
+            assert (b.kind, b.orient) == (p.kind, p.orient) and b.extended is False
 
     def test_overlap_rejected(self):
         shape = [BlockPlacement((0, 0, 0), Q, N), BlockPlacement((0, 0, 0), Q, N)]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from voxelflight import (
     BlockKind,
+    BlockPlacement,
     BlockSet,
     DecodeConfig,
     LengthError,
@@ -21,7 +22,7 @@ from voxelflight import (
     random_genome,
 )
 
-from helpers import reference_decode
+from helpers import reference_decode, reference_mutate
 
 CFG_ORIG = DecodeConfig(block_set=BlockSet.ORIGINAL)
 CFG_OBS = DecodeConfig(block_set=BlockSet.OBSERVER)
@@ -116,7 +117,10 @@ class TestDecodeMatchesReference:
         rng = np.random.default_rng(23)
         for _ in range(300):
             g = random_genome(rng, cfg.genome_length)
-            assert decode(g, cfg) == reference_decode(g, cfg)
+            shape = decode(g, cfg)
+            assert shape == reference_decode(g, cfg)
+            # decode builds placements with tuple.__new__, which bypasses the constructor.
+            assert all(type(p) is BlockPlacement for p in shape)
 
     def test_boundary_genes(self, cfg):
         triples = list(itertools.product(boundary_genes(), repeat=3))
@@ -172,8 +176,9 @@ class TestPolynomialMutate:
     def test_untouched_genes_bit_identical(self):
         g = random_genome(np.random.default_rng(10), 81)
         out = polynomial_mutate(g, np.random.default_rng(11), per_gene_rate=0.3)
-        same = out == g
-        assert same.sum() > 30  # most genes untouched at 30%
+        mask = np.random.default_rng(11).random(81) < 0.3  # the operator's first draw
+        assert np.array_equal(out[~mask], g[~mask])
+        assert (out[mask] != g[mask]).any()
 
     def test_monte_carlo_symmetry_around_half(self):
         # 1e5 mutations of 0.5 with eta=20: mean stays near 0.5 and the
@@ -187,6 +192,22 @@ class TestPolynomialMutate:
         n = len(moved)
         z = (above - n / 2) / (0.5 * np.sqrt(n))
         assert abs(z) < 4.0
+
+
+class TestPolynomialMutateMatchesReference:
+    """The whole-genome operator equals the masked reference bit for bit,
+    and computing every gene's branch raises no floating-point warning."""
+
+    @pytest.mark.parametrize("rate", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("eta", [20.0, 5.0])
+    @pytest.mark.parametrize("fill", [None, 0.0, 0.5, 1.0], ids=["random", "0.0", "0.5", "1.0"])
+    def test_bit_identical(self, rate, eta, fill):
+        rng = np.random.default_rng(31)
+        with np.errstate(all="raise"):
+            for seed in range(200):
+                g = random_genome(rng, 81) if fill is None else np.full(81, fill)
+                out = polynomial_mutate(g, np.random.default_rng(seed), rate, eta)
+                assert np.array_equal(out, reference_mutate(g, np.random.default_rng(seed), rate, eta))
 
 
 class TestCrossover:

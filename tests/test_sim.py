@@ -130,6 +130,9 @@ class TestExtensionFixture:
             (2, 0, 0): (K.PISTON_HEAD_NORMAL, False),
             (3, 0, 0): (K.QUARTZ_BLOCK, False),
         }
+        # step builds the base and the head with tuple.__new__, which bypasses the constructor.
+        assert all(type(b) is Block for b in w.blocks.values())
+        assert w.blocks[(1, 0, 0)].extended is True and w.blocks[(2, 0, 0)].extended is False
 
     def test_stays_extended_under_steady_power(self):
         w = run_ticks(self.world, 3)
