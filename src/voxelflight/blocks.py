@@ -182,13 +182,17 @@ class Box:
 class WorldState:
     """Sparse voxel world plus pending tick events.
 
-    A WorldState is a value: operations take a world and return a new one.
+    A WorldState is a value: operations take a world and return a new one,
+    which may share the input's block dict, so never change a world's blocks
+    in place: change a `copy()`. `scan` is `sim.step`'s piston scan of the
+    blocks; `==`, `repr` and `copy()` ignore it.
     """
 
     blocks: dict[Vec3, Block] = field(default_factory=dict)
     tick: int = 0
     events: list[TickEvent] = field(default_factory=list)
     pulses: list[Pulse] = field(default_factory=list)
+    scan: Optional[list[tuple[Vec3, bool, bool]]] = field(default=None, compare=False, repr=False)
 
     def copy(self) -> "WorldState":
         return WorldState(dict(self.blocks), self.tick, list(self.events), list(self.pulses))

@@ -30,7 +30,9 @@ reproducible bit-for-bit:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, ClassVar, Optional
 
 from .blocks import (
@@ -56,6 +58,7 @@ _HEAD_STICKY = BlockKind.PISTON_HEAD_STICKY
 _REDSTONE = BlockKind.REDSTONE_BLOCK
 _SLIME = BlockKind.SLIME_BLOCK
 _OBSERVER = BlockKind.OBSERVER
+_DUE = itemgetter(0)  # an event's due tick
 
 
 @dataclass(frozen=True)
@@ -71,6 +74,9 @@ class TickConfig:
     push_limit: ClassVar[int] = 12
 
     emulate_observer_bug: bool = True
+
+
+assert TickConfig.piston_extend_delay == TickConfig.piston_retract_delay, "step splits due events as a prefix"
 
 
 def apply_observer_bug(shape: list[BlockPlacement]) -> list[BlockPlacement]:
@@ -193,37 +199,33 @@ def _translate_blocks(world: WorldState, cells: set[Vec3], offset: Vec3, moved: 
 
 
 def step(world: WorldState, cfg: TickConfig) -> tuple[WorldState, set[Vec3]]:
-    """Advance exactly one tick; returns the new world and the changed cells."""
-    w = world.copy()
-    blocks = w.blocks
-    t = w.tick
+    """Advance exactly one tick; returns the new world and the changed cells.
+
+    The block dict is copied only when some event is due, so the new world
+    may share its input's blocks: change neither in place, only a `copy()`.
+    The piston scan is rebuilt only when the input carries none, and handed
+    on only when nothing moved: every fired event moves a piston head.
+    """
+    blocks = world.blocks
+    t = world.tick
     moved: set[Vec3] = set()
+    scan = world.scan
+    if scan is None:
+        redstone = compute_power(WorldState(blocks))
+        scan = sorted((pos, b.extended, pos in redstone) for pos, b in blocks.items() if b.kind is _PISTON or b.kind is _STICKY_PISTON)
+    pulsed = {cell for cell, start, end in world.pulses if start <= t < end} if world.pulses else ()
 
-    powered = compute_power(w)
-
-    # Pistons whose extension state differs from their power schedule a
-    # toggle, in sorted position order. The event list is only appended to
-    # and filtered, so due events fire in scheduling order.
-    out_of_step = [
-        pos for pos, b in blocks.items()
-        if (b.kind is _PISTON or b.kind is _STICKY_PISTON) and b.extended != (pos in powered)
-    ]
-    events = w.events
-    for pos in sorted(out_of_step):
-        block = blocks[pos]
-        if block.extended:
-            events.append(_new(TickEvent, (t + cfg.piston_retract_delay, "retract", pos, block.orient)))
-        else:
-            events.append(_new(TickEvent, (t + cfg.piston_extend_delay, "extend", pos, block.orient)))
-
-    due: list[TickEvent] = []
-    w.events = pending = []
-    for event in events:
-        if event.due <= t:
-            due.append(event)
-        else:
-            pending.append(event)
-    for _due, action, pos, orient in due:
+    # Both piston delays are equal, so the event list is in order of due tick
+    # and the due events are a prefix. Pistons whose extension state differs
+    # from their power schedule a toggle, in sorted position order.
+    split = bisect_right(world.events, t, key=_DUE)
+    events = world.events[split:]
+    for pos, extended, powered in scan:
+        if extended != (powered or pos in pulsed):
+            events.append(_new(TickEvent, (t + cfg.piston_extend_delay, "retract" if extended else "extend", pos, blocks[pos].orient)))
+    w = WorldState(dict(blocks) if split else blocks, t + 1, events, [p for p in world.pulses if p.end > t + 1] if world.pulses else [])
+    blocks = w.blocks
+    for _due, action, pos, orient in world.events[:split]:
         block = blocks.get(pos)
         if block is None or not (block.kind is _PISTON or block.kind is _STICKY_PISTON) or block.orient is not orient:
             continue
@@ -260,10 +262,8 @@ def step(world: WorldState, cfg: TickConfig) -> tuple[WorldState, set[Vec3]]:
             if (x + dx, y + dy, z + dz) in moved:
                 start = t + cfg.observer_pulse_delay
                 w.pulses.append(_new(Pulse, ((x - dx, y - dy, z - dz), start, start + cfg.observer_pulse_length)))
-
-    if w.pulses:
-        w.pulses = [p for p in w.pulses if p.end > t + 1]
-    w.tick = t + 1
+    else:
+        w.scan = scan
     return w, moved
 
 
@@ -299,8 +299,11 @@ def _repeats(earlier: WorldState, later: WorldState) -> bool:
     return True
 
 
-def _find_cycle(history: list[WorldState], seen: dict[tuple, list[int]]) -> Optional[tuple[int, int]]:
-    """Register the newest world of `history`; return the cycle it closes, if any.
+def _find_cycle(
+    history: list[WorldState], seen: dict[tuple, list[int]], cells: Optional[frozenset[Vec3]]
+) -> tuple[Optional[tuple[int, int]], frozenset[Vec3]]:
+    """Register the newest world of `history`; return the cycle it closes, if
+    any, and the world's occupied cells, to pass in with the next world.
 
     A cycle (j, period) means: from stepped index j on, the world after
     j + phase + laps*period steps is history[j + phase] moved forward by
@@ -308,16 +311,19 @@ def _find_cycle(history: list[WorldState], seen: dict[tuple, list[int]]) -> Opti
     earlier one (see `_repeats`); a settled world is a cycle of period 1,
     found one step after it settles. Candidates are keyed by occupied cells
     and queue lengths, which hash only int tuples; a hit is then compared in
-    full.
+    full. The previous world's `cells` are reused when the newest world
+    shares its block dict.
     """
     i = len(history) - 1
     world = history[i]
-    candidates = seen.setdefault((frozenset(world.blocks), len(world.events), len(world.pulses)), [])
+    if i == 0 or world.blocks is not history[i - 1].blocks:
+        cells = frozenset(world.blocks)
+    candidates = seen.setdefault((cells, len(world.events), len(world.pulses)), [])
     for j in candidates:
         if _repeats(history[j], world):
-            return (j, i - j)
+            return (j, i - j), cells
     candidates.append(i)
-    return None
+    return None, cells
 
 
 def run_until(
@@ -335,8 +341,8 @@ def run_until(
     settled world repeats with period 1) it is no longer stepped: each later
     poll, and the returned world, is the stored world of the same phase moved
     forward by whole periods, exactly what stepping would have produced. The
-    caller's world is never modified, and no world handed out shares its
-    blocks.
+    caller's world is never modified, and no world handed out shares the
+    caller's blocks.
     """
     if seconds < 1:
         raise ValueError("seconds must be >= 1")
@@ -345,13 +351,13 @@ def run_until(
         return world
     history = [world]  # history[k]: the world after k steps
     seen: dict[tuple, list[int]] = {}
-    cycle = _find_cycle(history, seen)
+    cycle, cells = _find_cycle(history, seen, None)
     for second in range(1, seconds + 1):
         tick = second * cfg.ticks_per_second
         while cycle is None and len(history) <= tick:
             world, _moved = step(world, cfg)
             history.append(world)
-            cycle = _find_cycle(history, seen)
+            cycle, cells = _find_cycle(history, seen, cells)
         if cycle is not None:
             j, period = cycle
             laps, phase = divmod(tick - j, period)

@@ -1,8 +1,19 @@
 import numpy as np
 
 from voxelflight import Archive, BlockPlacement, DecodeConfig, TickConfig, WorldState, step
-from voxelflight.blocks import ORIENTATION_ORDER, add
+from voxelflight.blocks import ORIENTATION_ORDER, Block, Pulse, TickEvent, Vec3, _new, add
 from voxelflight.genome import PRESENCE_THRESHOLD
+from voxelflight.sim import (
+    _HEAD_NORMAL,
+    _HEAD_STICKY,
+    _OBSERVER,
+    _PISTON,
+    _STICKY_PISTON,
+    _pull_set,
+    _translate_blocks,
+    compute_power,
+    compute_push_set,
+)
 
 
 def genome_for_shape(shape, cfg: DecodeConfig):
@@ -111,3 +122,80 @@ def reference_run_until(world, cfg, seconds, observer):
         if not observer(world, second):
             break
     return world
+
+
+def reference_step(world: WorldState, cfg: TickConfig) -> tuple[WorldState, set[Vec3]]:
+    """One tick the plain way: copy the world, find power and out-of-step
+    pistons by scanning every block, and split due from pending events by
+    their due tick. `step` must give an equal world and an equal moved set."""
+    w = world.copy()
+    blocks = w.blocks
+    t = w.tick
+    moved: set[Vec3] = set()
+
+    powered = compute_power(w)
+
+    # Pistons whose extension state differs from their power schedule a
+    # toggle, in sorted position order. The event list is only appended to
+    # and filtered, so due events fire in scheduling order.
+    out_of_step = [
+        pos for pos, b in blocks.items()
+        if (b.kind is _PISTON or b.kind is _STICKY_PISTON) and b.extended != (pos in powered)
+    ]
+    events = w.events
+    for pos in sorted(out_of_step):
+        block = blocks[pos]
+        if block.extended:
+            events.append(_new(TickEvent, (t + cfg.piston_retract_delay, "retract", pos, block.orient)))
+        else:
+            events.append(_new(TickEvent, (t + cfg.piston_extend_delay, "extend", pos, block.orient)))
+
+    due: list[TickEvent] = []
+    w.events = pending = []
+    for event in events:
+        if event.due <= t:
+            due.append(event)
+        else:
+            pending.append(event)
+    for _due, action, pos, orient in due:
+        block = blocks.get(pos)
+        if block is None or not (block.kind is _PISTON or block.kind is _STICKY_PISTON) or block.orient is not orient:
+            continue
+        dx, dy, dz = orient.vector
+        head_pos = (pos[0] + dx, pos[1] + dy, pos[2] + dz)
+        if action == "extend":
+            if block.extended:
+                continue
+            push = compute_push_set(w, pos, orient)
+            if push is None:
+                continue  # blocked pistons simply do not fire
+            _translate_blocks(w, push, orient.vector, moved)
+            blocks[head_pos] = _new(Block, (_HEAD_STICKY if block.kind is _STICKY_PISTON else _HEAD_NORMAL, orient, False))
+            blocks[pos] = _new(Block, (block.kind, orient, True))
+            moved.add(head_pos)
+        else:
+            if not block.extended:
+                continue
+            head = blocks.get(head_pos)
+            assert head is not None and (head.kind is _HEAD_NORMAL or head.kind is _HEAD_STICKY), \
+                "extended piston lost its head"
+            del blocks[head_pos]
+            moved.add(head_pos)
+            blocks[pos] = _new(Block, (block.kind, orient, False))
+            if block.kind is _STICKY_PISTON:
+                pull = _pull_set(w, pos, orient)
+                if pull:
+                    _translate_blocks(w, pull, orient.opposite.vector, moved)
+
+    if moved:
+        # An observer senses the cell it faces and powers the cell behind it.
+        for (x, y, z), block in sorted((p, b) for p, b in blocks.items() if b.kind is _OBSERVER):
+            dx, dy, dz = block.orient.vector
+            if (x + dx, y + dy, z + dz) in moved:
+                start = t + cfg.observer_pulse_delay
+                w.pulses.append(_new(Pulse, ((x - dx, y - dy, z - dz), start, start + cfg.observer_pulse_length)))
+
+    if w.pulses:
+        w.pulses = [p for p in w.pulses if p.end > t + 1]
+    w.tick = t + 1
+    return w, moved

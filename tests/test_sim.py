@@ -29,9 +29,9 @@ from voxelflight import (
     step,
 )
 from voxelflight.blocks import Pulse, TickEvent, neighbors6
-from voxelflight.sim import _moved_forward, _repeats
+from voxelflight.sim import _find_cycle, _moved_forward, _repeats
 
-from helpers import reference_run_until, settled, translated
+from helpers import reference_run_until, reference_step, settled, translated
 
 K = BlockKind
 O = Orientation
@@ -842,3 +842,160 @@ class TestAliasing:
                 p.blocks[(9, 9, 9)] = Block(K.QUARTZ_BLOCK, O.NORTH)
             run_until(w, CFG, 10, lambda world, second: False).blocks.clear()  # stopped at second 0
             assert w == before
+
+
+def sticky_pull():
+    """An extended sticky piston, unpowered, whose retraction drags a slime
+    block and the quartz riding on it."""
+    return make_world({
+        (0, 0, 0): (K.STICKY_PISTON, O.EAST, True),
+        (1, 0, 0): (K.PISTON_HEAD_STICKY, O.EAST),
+        (2, 0, 0): (K.SLIME_BLOCK, O.NORTH),
+        (2, 1, 0): (K.QUARTZ_BLOCK, O.NORTH),
+    })
+
+
+def sim_fixtures(reference_flyer):
+    """The hand-built worlds of this module, each as it starts."""
+    extension = TestExtensionFixture()
+    extension.setup_method()
+    observer_fixture = TestObserverFixture()
+    observer_fixture.setup_method()
+    return [
+        extension.world,
+        TestPushLimitFixture()._world(12),
+        blocked_powered_piston(),
+        sticky_pull(),
+        oscillator(),
+        observer_fixture.world,
+        shuttle(),
+        unsettled_after_pulse(),
+        observer_clock(),
+        repeat_base(),
+        place_shape(WorldState(), reference_flyer, (0, 0, 0)),
+    ]
+
+
+def random_observer_worlds(count, seed):
+    """Freshly placed worlds of `count` uniform random observer-set genomes
+    (observer rewrite applied), with the setting they run under."""
+    rng = np.random.default_rng(seed)
+    cfg = DecodeConfig(block_set=BlockSet.OBSERVER)
+    shapes = [apply_observer_bug(decode(random_genome(rng, cfg.genome_length), cfg)) for _ in range(count)]
+    return [(place_shape(WorldState(), shape, (0, 0, 0)), TickConfig()) for shape in shapes]
+
+
+class TestReferenceStep:
+    """`step` carries its piston scan across ticks where nothing moved,
+    copies the blocks only when an event is due and takes the due events as
+    a prefix of the event list; at every tick it must give the world and
+    the moved set of `reference_step`, which does none of that. With
+    `drop_scan`, every step gets a `copy()` of the world, which carries no
+    scan, so the scan is rebuilt on every tick."""
+
+    def assert_matches(self, worlds, ticks, drop_scan):
+        carried = shared = fired = 0
+        for world, cfg in worlds:
+            fast = slow = world
+            for _ in range(ticks):
+                before = fast.copy() if drop_scan else fast
+                fast, moved = step(before, cfg)
+                slow, expected = reference_step(slow, cfg)
+                assert moved == expected
+                assert fast == slow  # blocks, tick, events, pulses
+                carried += fast.scan is not None
+                shared += fast.blocks is before.blocks
+                fired += bool(moved)
+        # Guards against a vacuous pass: some ticks hand the scan on and
+        # share the blocks, and some move blocks.
+        assert carried > 0 and shared > 0 and fired > 0
+
+    @pytest.mark.parametrize("drop_scan", [False, True])
+    def test_pf_harvest(self, pf_harvest, drop_scan):
+        self.assert_matches(pf_harvest, 200, drop_scan)
+
+    @pytest.mark.parametrize("drop_scan", [False, True])
+    def test_random_observer_genomes(self, drop_scan):
+        self.assert_matches(random_observer_worlds(200, seed=18), 200, drop_scan)
+
+    @pytest.mark.parametrize("drop_scan", [False, True])
+    def test_sim_fixtures(self, reference_flyer, drop_scan):
+        self.assert_matches([(world, CFG) for world in sim_fixtures(reference_flyer)], 200, drop_scan)
+
+
+class TestDuePrefix:
+    """`step` takes the due events as a prefix of the event list, which holds
+    only while the list is in order of due tick: both piston delays must be
+    equal, so every event scheduled later is due later."""
+
+    def test_piston_delays_are_equal(self):
+        assert TickConfig.piston_extend_delay == TickConfig.piston_retract_delay
+
+    def test_events_stay_in_order_of_due_tick(self, pf_harvest, reference_flyer):
+        worlds = pf_harvest + random_observer_worlds(200, seed=18) + [(w, CFG) for w in sim_fixtures(reference_flyer)]
+        checked = 0
+        for world, cfg in worlds:
+            for w in stepped_history(world, cfg, 200):
+                dues = [e.due for e in w.events]
+                assert dues == sorted(dues)
+                checked += len(dues) > 1
+        assert checked > 0
+
+
+class TestCarriedScan:
+    """The scan `step` hands on is not part of a world's value, and a world
+    that shares its input's blocks leaves the input unchanged."""
+
+    def quiet_with_pending_event(self):
+        """The extension fixture at tick 1: its extension is pending and due
+        next tick, so this tick moves nothing."""
+        fixture = TestExtensionFixture()
+        fixture.setup_method()
+        w, moved = step(fixture.world, CFG)
+        assert not moved and w.events and w.scan is not None
+        return w
+
+    def test_copy_drops_the_scan(self):
+        w = self.quiet_with_pending_event()
+        assert w.copy().scan is None
+
+    def test_eq_and_repr_ignore_the_scan(self):
+        w = self.quiet_with_pending_event()
+        bare = w.copy()
+        assert w == bare
+        assert repr(w) == repr(bare) and "scan" not in repr(w)
+
+    def test_quiet_tick_with_pending_events_leaves_input_unchanged(self):
+        w = self.quiet_with_pending_event()
+        before = copy.deepcopy(w)
+        quiet, moved = step(w, CFG)
+        assert not moved and quiet.blocks is w.blocks  # no event due: blocks shared
+        fired, moved = step(quiet, CFG)  # the extension fires into a copy
+        assert moved and fired.blocks is not quiet.blocks
+        assert w == before and quiet.blocks == before.blocks
+
+    def test_blocked_powered_piston_leaves_input_unchanged(self):
+        w = run_ticks(blocked_powered_piston(), 5)
+        assert w.events[0].due == w.tick  # an extension due now, but over the push limit
+        before = copy.deepcopy(w)
+        out, moved = step(w, CFG)
+        assert moved == set() and out.scan is not None
+        assert w == before and out.blocks == before.blocks
+
+
+class TestCycleKey:
+    """`_find_cycle` reuses the previous world's occupied cells when the newest
+    world shares its block dict; the cells it keys by must always be the
+    newest world's."""
+
+    def test_cells_are_the_newest_worlds(self, pf_harvest, reference_flyer):
+        histories = [stepped_history(world, cfg, 40) for world, cfg in pf_harvest]
+        histories += [stepped_history(world, CFG, 40) for world in sim_fixtures(reference_flyer)]
+        reused = 0
+        for history in histories:
+            seen, cells = {}, None
+            for i in range(len(history)):
+                _cycle, cells = _find_cycle(history[: i + 1], seen, cells)
+                assert cells == frozenset(history[i].blocks)
+                reused += i > 0 and history[i].blocks is history[i - 1].blocks
+        assert reused > 0
