@@ -183,9 +183,10 @@ class WorldState:
     """Sparse voxel world plus pending tick events.
 
     A WorldState is a value: operations take a world and return a new one,
-    which may share the input's block dict, so never change a world's blocks
-    in place: change a `copy()`. `scan` is `sim.step`'s piston scan of the
-    blocks; `==`, `repr` and `copy()` ignore it.
+    which may share the input's block dict (`sim.step` copies it only when a
+    piston fires), so never change a world's blocks in place: change a
+    `copy()`. `scan` is `sim.step`'s piston scan of the blocks; `==`, `repr`
+    and `copy()` ignore it.
     """
 
     blocks: dict[Vec3, Block] = field(default_factory=dict)

@@ -80,30 +80,35 @@ def random_genome(rng: np.random.Generator, length: int) -> Genome:
 
 
 def polynomial_mutate(
-    genome: Genome,
-    rng: np.random.Generator,
+    genomes: np.ndarray,
+    uniforms: np.ndarray,
     per_gene_rate: float = MUTATION_RATE,
     eta: float = MUTATION_ETA,
-) -> Genome:
-    """Bounded polynomial mutation on [0,1], applied gene-wise.
+) -> np.ndarray:
+    """Bounded polynomial mutation on [0,1], applied gene-wise to one genome
+    `(n,)` or to each row of a batch `(k, n)`.
 
-    Each gene mutates independently with probability `per_gene_rate`; `eta`
-    is the distribution index (larger means smaller perturbations). Untouched
-    genes are returned bit-identical.
+    `uniforms` holds each genome's draws in [0, 1), shaped `(2, n)` or
+    `(k, 2, n)`: row 0 decides which genes mutate, row 1 is the mutation's
+    `r`. Each gene mutates independently with probability `per_gene_rate`;
+    `eta` is the distribution index (larger means smaller perturbations).
+    Untouched genes are returned bit-identical, and a batch row equals the
+    one-genome call on it.
     """
-    n = len(genome)
-    mask = rng.random(n) < per_gene_rate
-    r = rng.random(n)
+    if uniforms.shape != genomes.shape[:-1] + (2,) + genomes.shape[-1:]:
+        raise LengthMismatchError(f"uniforms of shape {uniforms.shape} do not fit genomes of shape {genomes.shape}")
+    mask = uniforms[..., 0, :] < per_gene_rate
+    r = uniforms[..., 1, :]
     # Every gene gets its branch's value, elementwise (so bit for bit as if it
     # were computed alone), and the mask picks the genes that take it.
     mut_pow = 1.0 / (eta + 1.0)
-    delta1 = genome  # distance to the lower bound 0
-    delta2 = 1.0 - genome  # distance to the upper bound 1
+    delta1 = genomes  # distance to the lower bound 0
+    delta2 = 1.0 - genomes  # distance to the upper bound 1
     low = r <= 0.5
     xy = np.where(low, 1.0 - delta1, 1.0 - delta2) ** (eta + 1.0)
     val = np.where(low, 2.0 * r + (1.0 - 2.0 * r) * xy, 2.0 * (1.0 - r) + 2.0 * (r - 0.5) * xy) ** mut_pow
     deltaq = np.where(low, val - 1.0, 1.0 - val)
-    return np.where(mask, np.minimum(np.maximum(genome + deltaq, 0.0), 1.0), genome)
+    return np.where(mask, np.minimum(np.maximum(genomes + deltaq, 0.0), 1.0), genomes)
 
 
 def crossover(a: Genome, b: Genome, rng: np.random.Generator) -> Genome:

@@ -167,16 +167,16 @@ def map_elites_run(
         yield [random_genome(rng, decode_cfg.genome_length) for _ in range(budget.init_samples)]
         for start in range(0, budget.offspring, EVAL_BATCH):
             occupied = sorted(archive.bins)  # parents fixed before the batch's insertions
-            batch = []
+            parents, uniforms = [], []
             for _ in range(min(EVAL_BATCH, budget.offspring - start)):
                 if rng.random() < budget.crossover_prob:
                     first = archive.bins[occupied[rng.integers(len(occupied))]].genome
                     second = archive.bins[occupied[rng.integers(len(occupied))]].genome
-                    child = crossover(first, second, rng)
+                    parents.append(crossover(first, second, rng))
                 else:
-                    child = archive.bins[occupied[rng.integers(len(occupied))]].genome
-                batch.append(polynomial_mutate(child, rng))
-            yield batch
+                    parents.append(archive.bins[occupied[rng.integers(len(occupied))]].genome)
+                uniforms.append(rng.random((2, decode_cfg.genome_length)))  # this child's mutation draws
+            yield list(polynomial_mutate(np.array(parents), np.array(uniforms)))
 
     def tell(eval_number: int, genome: Genome, result: EvaluationResult) -> None:
         archive.insert(layout.bin_index(layout.descriptor(decode(genome, decode_cfg))), genome, result, eval_number)
@@ -236,17 +236,17 @@ def mu_plus_lambda_run(
         nonlocal population, pool
         yield [random_genome(rng, decode_cfg.genome_length) for _ in range(budget.mu)]
         for _generation in range(budget.generations):
-            children: list[Genome] = []
+            parents, uniforms = [], []
             for _ in range(budget.lam):
                 parent = _tournament(population, rng)
                 if rng.random() < budget.crossover_prob:
                     partner = _tournament(population, rng)
-                    child = crossover(parent.genome, partner.genome, rng)
+                    parents.append(crossover(parent.genome, partner.genome, rng))
                 else:
-                    child = parent.genome
-                children.append(polynomial_mutate(child, rng))
+                    parents.append(parent.genome)
+                uniforms.append(rng.random((2, decode_cfg.genome_length)))  # this child's mutation draws
             pool = list(population)
-            yield children
+            yield list(polynomial_mutate(np.array(parents), np.array(uniforms)))
             population = select_survivors(pool, budget.mu)
 
     def tell(eval_number: int, genome: Genome, result: EvaluationResult) -> None:

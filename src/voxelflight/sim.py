@@ -201,10 +201,12 @@ def _translate_blocks(world: WorldState, cells: set[Vec3], offset: Vec3, moved: 
 def step(world: WorldState, cfg: TickConfig) -> tuple[WorldState, set[Vec3]]:
     """Advance exactly one tick; returns the new world and the changed cells.
 
-    The block dict is copied only when some event is due, so the new world
-    may share its input's blocks: change neither in place, only a `copy()`.
-    The piston scan is rebuilt only when the input carries none, and handed
-    on only when nothing moved: every fired event moves a piston head.
+    The block dict is copied just before a piston's first write, so after a
+    tick where nothing fired (no event due, or every due one stale or
+    blocked) the new world shares its input's blocks: change neither in
+    place, only a `copy()`. The piston scan is rebuilt only when the input
+    carries none, and handed on exactly when the blocks are shared: every
+    fired event moves a piston head.
     """
     blocks = world.blocks
     t = world.tick
@@ -223,27 +225,26 @@ def step(world: WorldState, cfg: TickConfig) -> tuple[WorldState, set[Vec3]]:
     for pos, extended, powered in scan:
         if extended != (powered or pos in pulsed):
             events.append(_new(TickEvent, (t + cfg.piston_extend_delay, "retract" if extended else "extend", pos, blocks[pos].orient)))
-    w = WorldState(dict(blocks) if split else blocks, t + 1, events, [p for p in world.pulses if p.end > t + 1] if world.pulses else [])
-    blocks = w.blocks
+    w = WorldState(blocks, t + 1, events, [p for p in world.pulses if p.end > t + 1] if world.pulses else [])
     for _due, action, pos, orient in world.events[:split]:
         block = blocks.get(pos)
         if block is None or not (block.kind is _PISTON or block.kind is _STICKY_PISTON) or block.orient is not orient:
             continue
+        if action == "extend":
+            if block.extended or (push := compute_push_set(w, pos, orient)) is None:
+                continue  # blocked pistons simply do not fire
+        elif not block.extended:
+            continue
+        if blocks is world.blocks:
+            blocks = w.blocks = dict(blocks)  # copy just before the tick's first write
         dx, dy, dz = orient.vector
         head_pos = (pos[0] + dx, pos[1] + dy, pos[2] + dz)
         if action == "extend":
-            if block.extended:
-                continue
-            push = compute_push_set(w, pos, orient)
-            if push is None:
-                continue  # blocked pistons simply do not fire
             _translate_blocks(w, push, orient.vector, moved)
             blocks[head_pos] = _new(Block, (_HEAD_STICKY if block.kind is _STICKY_PISTON else _HEAD_NORMAL, orient, False))
             blocks[pos] = _new(Block, (block.kind, orient, True))
             moved.add(head_pos)
         else:
-            if not block.extended:
-                continue
             head = blocks.get(head_pos)
             assert head is not None and (head.kind is _HEAD_NORMAL or head.kind is _HEAD_STICKY), \
                 "extended piston lost its head"
@@ -282,10 +283,9 @@ def _moved_forward(world: WorldState, ticks: int) -> WorldState:
 def _repeats(earlier: WorldState, later: WorldState) -> bool:
     """Whether `later` is `earlier` moved forward to its tick, that is
     `_moved_forward(earlier, later.tick - earlier.tick) == later`, compared
-    in place without building the moved world: blocks first, then events and
-    pulses pairwise with the earlier times shifted by the tick difference."""
-    if earlier.blocks != later.blocks:
-        return False
+    in place without building the moved world: events and pulses pairwise
+    with the earlier times shifted by the tick difference, then the blocks,
+    the costliest part, last."""
     events, pulses = later.events, later.pulses
     if len(earlier.events) != len(events) or len(earlier.pulses) != len(pulses):
         return False
@@ -296,7 +296,7 @@ def _repeats(earlier: WorldState, later: WorldState) -> bool:
     for (cell, start, end), p in zip(earlier.pulses, pulses):
         if start + ticks != p.start or end + ticks != p.end or cell != p.cell:
             return False
-    return True
+    return earlier.blocks == later.blocks
 
 
 def _find_cycle(
@@ -312,7 +312,7 @@ def _find_cycle(
     found one step after it settles. Candidates are keyed by occupied cells
     and queue lengths, which hash only int tuples; a hit is then compared in
     full. The previous world's `cells` are reused when the newest world
-    shares its block dict.
+    shares its block dict, as it does after every tick where no piston fired.
     """
     i = len(history) - 1
     world = history[i]

@@ -63,12 +63,12 @@ def reference_decode(genome, cfg: DecodeConfig):
     return shape
 
 
-def reference_mutate(genome, rng, per_gene_rate, eta):
-    """Bounded polynomial mutation computed on the mutating genes only, each
-    branch on its own subset. `polynomial_mutate` must equal it bit for bit."""
-    n = len(genome)
-    mask = rng.random(n) < per_gene_rate
-    u = rng.random(n)
+def reference_mutate(genome, uniforms, per_gene_rate, eta):
+    """Bounded polynomial mutation of one genome computed on the mutating
+    genes only, each branch on its own subset; `uniforms` is the `(2, n)`
+    draws `polynomial_mutate` takes. It must equal this bit for bit."""
+    mask = uniforms[0] < per_gene_rate
+    u = uniforms[1]
     out = genome.copy()
     if not mask.any():
         return out

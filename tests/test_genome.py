@@ -1,5 +1,8 @@
 import itertools
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -163,20 +166,20 @@ class TestPolynomialMutate:
     def test_rate_zero_is_identity(self):
         rng = np.random.default_rng(7)
         g = random_genome(rng, 81)
-        out = polynomial_mutate(g, np.random.default_rng(8), per_gene_rate=0.0)
+        out = polynomial_mutate(g, np.random.default_rng(8).random((2, len(g))), per_gene_rate=0.0)
         assert (out == g).all()
 
     def test_bounds_respected_at_edges(self):
         rng = np.random.default_rng(9)
         for value in (0.0, 1.0):
             g = np.full(300, value)
-            out = polynomial_mutate(g, rng, per_gene_rate=1.0)
+            out = polynomial_mutate(g, rng.random((2, len(g))), per_gene_rate=1.0)
             assert ((out >= 0.0) & (out <= 1.0)).all()
 
     def test_untouched_genes_bit_identical(self):
         g = random_genome(np.random.default_rng(10), 81)
-        out = polynomial_mutate(g, np.random.default_rng(11), per_gene_rate=0.3)
-        mask = np.random.default_rng(11).random(81) < 0.3  # the operator's first draw
+        out = polynomial_mutate(g, np.random.default_rng(11).random((2, len(g))), per_gene_rate=0.3)
+        mask = np.random.default_rng(11).random(81) < 0.3  # row 0 of the uniforms: the mask draw
         assert np.array_equal(out[~mask], g[~mask])
         assert (out[mask] != g[mask]).any()
 
@@ -185,7 +188,7 @@ class TestPolynomialMutate:
         # above/below split passes a two-sided sign test (|z| < 4).
         rng = np.random.default_rng(2024)
         g = np.full(100_000, 0.5)
-        out = polynomial_mutate(g, rng, per_gene_rate=1.0, eta=20.0)
+        out = polynomial_mutate(g, rng.random((2, len(g))), per_gene_rate=1.0, eta=20.0)
         moved = out[out != 0.5]
         assert abs(out.mean() - 0.5) < 0.005
         above = (moved > 0.5).sum()
@@ -206,8 +209,84 @@ class TestPolynomialMutateMatchesReference:
         with np.errstate(all="raise"):
             for seed in range(200):
                 g = random_genome(rng, 81) if fill is None else np.full(81, fill)
-                out = polynomial_mutate(g, np.random.default_rng(seed), rate, eta)
-                assert np.array_equal(out, reference_mutate(g, np.random.default_rng(seed), rate, eta))
+                out = polynomial_mutate(g, np.random.default_rng(seed).random((2, len(g))), rate, eta)
+                assert np.array_equal(out, reference_mutate(g, np.random.default_rng(seed).random((2, len(g))), rate, eta))
+
+
+# Mutates random batches of 1-24 rows at three rates and checks every row
+# against the one-genome call and the masked reference; prints the numpy
+# CPU-dispatch state and the number of rows checked.
+BATCH_CHECK = """
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
+from voxelflight import polynomial_mutate
+from helpers import reference_mutate
+
+rng = np.random.default_rng(19)
+rows = 0
+for k in range(1, 25):
+    for rate in (0.0, 0.3, 1.0):
+        genomes = rng.random((k, 81))
+        uniforms = rng.random((k, 2, 81))
+        for g, u, row in zip(genomes, uniforms, polynomial_mutate(genomes, uniforms, rate)):
+            assert np.array_equal(row, polynomial_mutate(g, u, rate))
+            assert np.array_equal(row, reference_mutate(g, u, rate, 20.0))
+            rows += 1
+print(__cpu_features__.get("X86_V4", False), rows)
+"""
+
+
+class TestBatchedMutate:
+    """The searches mutate each batch of children in one call; every row of
+    a batch must equal the one-genome call on it, bit for bit."""
+
+    @pytest.mark.parametrize("k", [1, 5, 10, 20])
+    @pytest.mark.parametrize("rate", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("fill", [None, 0.0, 0.5, 1.0], ids=["random", "0.0", "0.5", "1.0"])
+    def test_rows_equal_single_calls(self, k, rate, fill):
+        rng = np.random.default_rng(37)
+        with np.errstate(all="raise"):
+            for _ in range(20):
+                genomes = rng.random((k, 81)) if fill is None else np.full((k, 81), fill)
+                uniforms = rng.random((k, 2, 81))
+                out = polynomial_mutate(genomes, uniforms, rate, 20.0)
+                assert out.shape == genomes.shape
+                for g, u, row in zip(genomes, uniforms, out):
+                    assert np.array_equal(row, polynomial_mutate(g, u, rate, 20.0))
+                    assert np.array_equal(row, reference_mutate(g, u, rate, 20.0))
+
+    def test_two_row_draw_is_two_draws(self):
+        # The searches draw a child's uniforms as one (2, n) array where the
+        # operator used to draw two n-vectors: the stream must not change.
+        one, two = np.random.default_rng(3), np.random.default_rng(3)
+        both = one.random((2, 81))
+        assert np.array_equal(both[0], two.random(81))
+        assert np.array_equal(both[1], two.random(81))
+        assert one.bit_generator.state == two.bit_generator.state
+
+    @pytest.mark.parametrize("genomes, uniforms", [
+        ((81,), (2, 80)),
+        ((81,), (81,)),
+        ((81,), (1, 2, 81)),  # one genome's draws must not pass as a batch's
+        ((5, 81), (2, 81)),  # nor be broadcast over a batch
+        ((5, 81), (4, 2, 81)),
+        ((5, 81), (5, 81)),
+    ])
+    def test_mismatched_uniforms_raise(self, genomes, uniforms):
+        with pytest.raises(LengthMismatchError):
+            polynomial_mutate(np.zeros(genomes), np.zeros(uniforms))
+
+    def test_rows_equal_single_calls_without_avx512(self):
+        # Float64 `**` dispatches to AVX-512 code where the CPU has it (see
+        # README); the batch identity must also hold on the code numpy uses
+        # without it, which a fresh interpreter selects from the environment.
+        tests = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.join(os.path.dirname(tests), "src")
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+        env["PYTHONPATH"] = os.pathsep.join([src, tests])
+        done = subprocess.run([sys.executable, "-c", BATCH_CHECK], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False", str(3 * sum(range(1, 25)))]
 
 
 class TestCrossover:

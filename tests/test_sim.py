@@ -887,7 +887,7 @@ def random_observer_worlds(count, seed):
 
 class TestReferenceStep:
     """`step` carries its piston scan across ticks where nothing moved,
-    copies the blocks only when an event is due and takes the due events as
+    copies the blocks only when a piston fires and takes the due events as
     a prefix of the event list; at every tick it must give the world and
     the moved set of `reference_step`, which does none of that. With
     `drop_scan`, every step gets a `copy()` of the world, which carries no
@@ -981,6 +981,46 @@ class TestCarriedScan:
         out, moved = step(w, CFG)
         assert moved == set() and out.scan is not None
         assert w == before and out.blocks == before.blocks
+
+
+class TestCopyRule:
+    """`step` copies the block dict only when a piston fires. A tick whose
+    due events are all stale or blocked writes nothing, so, like a tick with
+    no event due, it shares its input's blocks and hands its scan on."""
+
+    def assert_shares_and_carries(self, w):
+        assert any(e.due == w.tick for e in w.events)  # an event is due this tick
+        before = copy.deepcopy(w)
+        out, moved = step(w, CFG)
+        assert moved == set()
+        assert out.blocks is w.blocks and out.scan is not None
+        assert w == before and out.blocks == before.blocks
+
+    def test_stale_reschedule_shares_blocks(self):
+        # The powered piston scheduled an extension on each of its first two
+        # ticks; the first fired at tick 2, so the second, due now, is stale.
+        fixture = TestExtensionFixture()
+        fixture.setup_method()
+        w = run_ticks(fixture.world, 3)
+        assert w.blocks[(1, 0, 0)].extended and [e.action for e in w.events if e.due == w.tick] == ["extend"]
+        self.assert_shares_and_carries(w)
+
+    def test_blocked_powered_piston_shares_blocks(self):
+        self.assert_shares_and_carries(run_ticks(blocked_powered_piston(), 5))
+
+    def test_copies_exactly_when_blocks_move_on_pf_harvest(self, pf_harvest):
+        copied = stale = 0
+        for world, cfg in pf_harvest:
+            for _ in range(200):
+                due = any(e.due == world.tick for e in world.events)
+                after, moved = step(world, cfg)
+                assert (after.blocks is not world.blocks) == bool(moved)
+                copied += bool(moved)
+                stale += due and not moved
+                world = after
+        # Guards against a vacuous pass: some steps copy, and some share
+        # although an event was due.
+        assert copied > 0 and stale > 0
 
 
 class TestCycleKey:
