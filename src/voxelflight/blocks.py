@@ -46,9 +46,9 @@ class BlockKind(Enum):
 
 
 class Orientation(Enum):
-    """A facing. `vector` (the unit step) and `opposite` are plain member
-    attributes, set once at import: the simulator reads them per block per
-    tick, where an Enum property or `value` lookup is a Python-level call."""
+    """A facing; the reverse facing is the negated `vector` (the unit step),
+    a plain member attribute set once at import: the simulator reads it per
+    block per tick, where an Enum property or `value` is a Python call."""
 
     NORTH = (0, 0, -1)
     SOUTH = (0, 0, 1)
@@ -58,15 +58,9 @@ class Orientation(Enum):
     DOWN = (0, -1, 0)
 
     vector: Vec3
-    opposite: "Orientation"
 
     def __init__(self, x: int, y: int, z: int):
         self.vector = (x, y, z)
-
-
-Orientation.NORTH.opposite, Orientation.SOUTH.opposite = Orientation.SOUTH, Orientation.NORTH
-Orientation.EAST.opposite, Orientation.WEST.opposite = Orientation.WEST, Orientation.EAST
-Orientation.UP.opposite, Orientation.DOWN.opposite = Orientation.DOWN, Orientation.UP
 
 
 # Fixed order used by the genome decoder and by direction tie-breaking: the declaration order.
@@ -184,8 +178,8 @@ class WorldState:
 
     A WorldState is a value: operations take a world and return a new one,
     which may share the input's block dict (`sim.step` copies it only when a
-    piston fires), so never change a world's blocks in place: change a
-    `copy()`. `scan` is `sim.step`'s piston scan of the blocks; `==`, `repr`
+    piston fires; a world moved forward in time shares it), so never change
+    a world's blocks in place: change a `copy()`. `scan` is `sim.step`'s piston scan of the blocks; `==`, `repr`
     and `copy()` ignore it.
     """
 

@@ -7,11 +7,11 @@ reproducible bit-for-bit:
   output cell of an active observer pulse. Pistons activate on the power state
   of their own cell. There is no quasi-connectivity and no redstone wiring.
 * Pistons: a powered, unextended piston schedules an extension; an unpowered,
-  extended piston schedules a retraction. Events fire after their delay in
-  FIFO order of scheduling (ties broken by lexicographic piston position) and
-  are validated at fire time, so stale events for moved or already-toggled
-  pistons are dropped. Power is NOT re-checked at fire time, which is what
-  lets a short observer pulse drive a full extend/retract cycle.
+  extended piston schedules a retraction. Either fires one piston delay
+  later, in FIFO order of scheduling (ties broken by lexicographic piston
+  position), and is validated at fire time, so stale events for moved or
+  already-toggled pistons are dropped. Power is NOT re-checked at fire
+  time, which lets a short observer pulse drive a full extend/retract cycle.
 * Push set: transitive closure from the cell in front of the piston; slime
   members recruit all six neighbors, every member recruits the block in its
   movement path. Blocked (piston simply does not fire) when the set exceeds
@@ -67,16 +67,12 @@ class TickConfig:
     only the observer placement quirk is chosen per run."""
 
     ticks_per_second: ClassVar[int] = 20
-    piston_extend_delay: ClassVar[int] = 2
-    piston_retract_delay: ClassVar[int] = 2
+    piston_delay: ClassVar[int] = 2  # extension and retraction alike
     observer_pulse_delay: ClassVar[int] = 2
     observer_pulse_length: ClassVar[int] = 2
     push_limit: ClassVar[int] = 12
 
     emulate_observer_bug: bool = True
-
-
-assert TickConfig.piston_extend_delay == TickConfig.piston_retract_delay, "step splits due events as a prefix"
 
 
 def apply_observer_bug(shape: list[BlockPlacement]) -> list[BlockPlacement]:
@@ -89,13 +85,13 @@ def apply_observer_bug(shape: list[BlockPlacement]) -> list[BlockPlacement]:
     return out
 
 
-def compute_power(world: WorldState) -> set[Vec3]:
-    """Cells currently powered: the six neighbours of every redstone block,
-    plus the output cell of every pulse active at the world's tick. The set
-    is the caller's; nothing else holds it."""
+def compute_power(blocks: dict[Vec3, Block]) -> set[Vec3]:
+    """Cells that redstone powers: the six neighbours of every redstone
+    block. `step` adds the output cells of the active pulses. The set is the
+    caller's; nothing else holds it."""
     powered: set[Vec3] = set()
     power = powered.add
-    for (x, y, z), block in world.blocks.items():
+    for (x, y, z), block in blocks.items():
         if block.kind is _REDSTONE:
             power((x + 1, y, z))
             power((x - 1, y, z))
@@ -103,10 +99,6 @@ def compute_power(world: WorldState) -> set[Vec3]:
             power((x, y - 1, z))
             power((x, y, z + 1))
             power((x, y, z - 1))
-    t = world.tick
-    for cell, start, end in world.pulses:
-        if start <= t < end:
-            powered.add(cell)
     return powered
 
 
@@ -213,18 +205,19 @@ def step(world: WorldState, cfg: TickConfig) -> tuple[WorldState, set[Vec3]]:
     moved: set[Vec3] = set()
     scan = world.scan
     if scan is None:
-        redstone = compute_power(WorldState(blocks))
+        redstone = compute_power(blocks)
         scan = sorted((pos, b.extended, pos in redstone) for pos, b in blocks.items() if b.kind is _PISTON or b.kind is _STICKY_PISTON)
     pulsed = {cell for cell, start, end in world.pulses if start <= t < end} if world.pulses else ()
 
-    # Both piston delays are equal, so the event list is in order of due tick
-    # and the due events are a prefix. Pistons whose extension state differs
-    # from their power schedule a toggle, in sorted position order.
+    # Every event is due one piston delay after it was scheduled, so the
+    # event list is in order of due tick and the due events are a prefix.
+    # Pistons whose extension state differs from their power (redstone or
+    # an active pulse) schedule a toggle, in sorted position order.
     split = bisect_right(world.events, t, key=_DUE)
     events = world.events[split:]
     for pos, extended, powered in scan:
         if extended != (powered or pos in pulsed):
-            events.append(_new(TickEvent, (t + cfg.piston_extend_delay, "retract" if extended else "extend", pos, blocks[pos].orient)))
+            events.append(_new(TickEvent, (t + cfg.piston_delay, "retract" if extended else "extend", pos, blocks[pos].orient)))
     w = WorldState(blocks, t + 1, events, [p for p in world.pulses if p.end > t + 1] if world.pulses else [])
     for _due, action, pos, orient in world.events[:split]:
         block = blocks.get(pos)
@@ -254,7 +247,7 @@ def step(world: WorldState, cfg: TickConfig) -> tuple[WorldState, set[Vec3]]:
             if block.kind is _STICKY_PISTON:
                 pull = _pull_set(w, pos, orient)
                 if pull:
-                    _translate_blocks(w, pull, orient.opposite.vector, moved)
+                    _translate_blocks(w, pull, (-dx, -dy, -dz), moved)
 
     if moved:
         # An observer senses the cell it faces and powers the cell behind it.
@@ -269,11 +262,11 @@ def step(world: WorldState, cfg: TickConfig) -> tuple[WorldState, set[Vec3]]:
 
 
 def _moved_forward(world: WorldState, ticks: int) -> WorldState:
-    """A copy of `world` later in time: the tick, every event's due tick and
-    every pulse's window move by `ticks`. `step` only ever reads times
-    relative to the tick, so stepping commutes with it."""
+    """`world` later in time, sharing its block dict: the tick, every
+    event's due tick and every pulse's window move by `ticks`. `step` only
+    ever reads times relative to the tick, so stepping commutes with it."""
     return WorldState(
-        dict(world.blocks),
+        world.blocks,
         world.tick + ticks,
         [_new(TickEvent, (due + ticks, action, pos, orient)) for due, action, pos, orient in world.events],
         [_new(Pulse, (cell, start + ticks, end + ticks)) for cell, start, end in world.pulses],
@@ -341,8 +334,8 @@ def run_until(
     settled world repeats with period 1) it is no longer stepped: each later
     poll, and the returned world, is the stored world of the same phase moved
     forward by whole periods, exactly what stepping would have produced. The
-    caller's world is never modified, and no world handed out shares the
-    caller's blocks.
+    caller's world is copied once on entry, so it is never modified and no
+    world handed out shares its blocks.
     """
     if seconds < 1:
         raise ValueError("seconds must be >= 1")

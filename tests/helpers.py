@@ -1,7 +1,7 @@
 import numpy as np
 
 from voxelflight import Archive, BlockPlacement, DecodeConfig, TickConfig, WorldState, step
-from voxelflight.blocks import ORIENTATION_ORDER, Block, Pulse, TickEvent, Vec3, _new, add
+from voxelflight.blocks import ORIENTATION_ORDER, Block, BlockKind, Pulse, TickEvent, Vec3, _new, add, neighbors6
 from voxelflight.genome import PRESENCE_THRESHOLD
 from voxelflight.sim import (
     _HEAD_NORMAL,
@@ -11,7 +11,6 @@ from voxelflight.sim import (
     _STICKY_PISTON,
     _pull_set,
     _translate_blocks,
-    compute_power,
     compute_push_set,
 )
 
@@ -124,16 +123,31 @@ def reference_run_until(world, cfg, seconds, observer):
     return world
 
 
+def reference_power(world):
+    """Powered cells from the documented rule, cell by cell: the neighbours
+    of each redstone block and the cells of the pulses active at the tick."""
+    powered = set()
+    for pos, block in world.blocks.items():
+        if block.kind is BlockKind.REDSTONE_BLOCK:
+            powered.update(neighbors6(pos))
+    for pulse in world.pulses:
+        if pulse.start <= world.tick < pulse.end:
+            powered.add(pulse.cell)
+    return powered
+
+
 def reference_step(world: WorldState, cfg: TickConfig) -> tuple[WorldState, set[Vec3]]:
-    """One tick the plain way: copy the world, find power and out-of-step
-    pistons by scanning every block, and split due from pending events by
-    their due tick. `step` must give an equal world and an equal moved set."""
+    """One tick the plain way: copy the world, find power by the documented
+    rule (`reference_power`, not the program's `compute_power`) and
+    out-of-step pistons by scanning every block, and split due from pending
+    events by their due tick. `step` must give an equal world and an equal
+    moved set."""
     w = world.copy()
     blocks = w.blocks
     t = w.tick
     moved: set[Vec3] = set()
 
-    powered = compute_power(w)
+    powered = reference_power(w)
 
     # Pistons whose extension state differs from their power schedule a
     # toggle, in sorted position order. The event list is only appended to
@@ -146,9 +160,9 @@ def reference_step(world: WorldState, cfg: TickConfig) -> tuple[WorldState, set[
     for pos in sorted(out_of_step):
         block = blocks[pos]
         if block.extended:
-            events.append(_new(TickEvent, (t + cfg.piston_retract_delay, "retract", pos, block.orient)))
+            events.append(_new(TickEvent, (t + cfg.piston_delay, "retract", pos, block.orient)))
         else:
-            events.append(_new(TickEvent, (t + cfg.piston_extend_delay, "extend", pos, block.orient)))
+            events.append(_new(TickEvent, (t + cfg.piston_delay, "extend", pos, block.orient)))
 
     due: list[TickEvent] = []
     w.events = pending = []
@@ -185,7 +199,7 @@ def reference_step(world: WorldState, cfg: TickConfig) -> tuple[WorldState, set[
             if block.kind is _STICKY_PISTON:
                 pull = _pull_set(w, pos, orient)
                 if pull:
-                    _translate_blocks(w, pull, orient.opposite.vector, moved)
+                    _translate_blocks(w, pull, (-dx, -dy, -dz), moved)
 
     if moved:
         # An observer senses the cell it faces and powers the cell behind it.

@@ -50,11 +50,6 @@ class TestOrientation:
         assert Orientation.UP.vector == (0, 1, 0)
         assert Orientation.DOWN.vector == (0, -1, 0)
 
-    @given(st.sampled_from(list(Orientation)))
-    def test_opposite_is_fixed_point_free_involution(self, o):
-        assert o.opposite.opposite is o
-        assert o.opposite is not o
-
 
 class TestBlockSets:
     def test_member_counts_and_order(self):
