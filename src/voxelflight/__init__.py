@@ -28,6 +28,7 @@ from .blocks import (
     OutOfBoundsError,
     OverlapError,
     WorldState,
+    apply_observer_bug,
     center_of_mass,
     count_blocks,
     format_shape,
@@ -68,7 +69,7 @@ from .search import (
     map_elites_run,
     mu_plus_lambda_run,
 )
-from .sim import TickConfig, apply_observer_bug, compute_power, compute_push_set, run_until, step
+from .sim import TickConfig, compute_power, compute_push_set, run_until, step
 from .stats import DegenerateTable, bonferroni, fisher_exact_2x2
 
 __version__ = "0.1.0"

@@ -44,11 +44,14 @@ class BlockKind(Enum):
     PISTON_HEAD_NORMAL = "PISTON_HEAD_NORMAL"
     PISTON_HEAD_STICKY = "PISTON_HEAD_STICKY"
 
+    ordinal: int  # position in declaration order, set below
+
 
 class Orientation(Enum):
     """A facing; the reverse facing is the negated `vector` (the unit step),
     a plain member attribute set once at import: the simulator reads it per
-    block per tick, where an Enum property or `value` is a Python call."""
+    block per tick, where an Enum property or `value` is a Python call.
+    `ordinal`, the position in declaration order, is set at import likewise."""
 
     NORTH = (0, 0, -1)
     SOUTH = (0, 0, 1)
@@ -58,9 +61,17 @@ class Orientation(Enum):
     DOWN = (0, -1, 0)
 
     vector: Vec3
+    ordinal: int
 
     def __init__(self, x: int, y: int, z: int):
         self.vector = (x, y, z)
+
+
+# Placement indexes its table by these ints, never by hashing an Enum:
+# `Enum.__hash__` is a Python-level call.
+for _enum in (BlockKind, Orientation):
+    for _ordinal, _member in enumerate(_enum):
+        _member.ordinal = _ordinal
 
 
 # Fixed order used by the genome decoder and by direction tie-breaking: the declaration order.
@@ -121,10 +132,6 @@ class TickEvent(NamedTuple):
     orient: Orientation
 
 
-def add(a: Vec3, b: Vec3) -> Vec3:
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
-
-
 def neighbors6(pos: Vec3) -> tuple[Vec3, ...]:
     x, y, z = pos
     return (
@@ -179,15 +186,17 @@ class WorldState:
     A WorldState is a value: operations take a world and return a new one,
     which may share the input's block dict (`sim.step` copies it only when a
     piston fires; a world moved forward in time shares it), so never change
-    a world's blocks in place: change a `copy()`. `scan` is `sim.step`'s piston scan of the blocks; `==`, `repr`
-    and `copy()` ignore it.
+    a world's blocks in place: change a `copy()`. `scan` is what `sim.step`
+    reads of the blocks each tick (its pistons and observers, see
+    `sim._scan`), handed on by `step` with every world it returns; `==`,
+    `repr` and `copy()` ignore it.
     """
 
     blocks: dict[Vec3, Block] = field(default_factory=dict)
     tick: int = 0
     events: list[TickEvent] = field(default_factory=list)
     pulses: list[Pulse] = field(default_factory=list)
-    scan: Optional[list[tuple[Vec3, bool, bool]]] = field(default=None, compare=False, repr=False)
+    scan: Optional[tuple[list, list]] = field(default=None, compare=False, repr=False)
 
     def copy(self) -> "WorldState":
         return WorldState(dict(self.blocks), self.tick, list(self.events), list(self.pulses))
@@ -196,26 +205,64 @@ class WorldState:
 SPAWN_BOX_SIZE = 3
 
 
-def place_shape(world: WorldState, shape: Iterable[BlockPlacement], origin: Vec3) -> WorldState:
-    """Write a shape into the world at `origin` + local position.
+def _placed_facing(kind: BlockKind, orient: Orientation, observer_bug: bool) -> Orientation:
+    """The facing a block is placed with: under the observer placement quirk
+    an observer facing Up or Down is placed facing North."""
+    if observer_bug and kind is BlockKind.OBSERVER and (orient is Orientation.UP or orient is Orientation.DOWN):
+        return Orientation.NORTH
+    return orient
+
+
+def apply_observer_bug(shape: list[BlockPlacement]) -> list[BlockPlacement]:
+    """Rewrite Up/Down observer orientations to North, as placement with
+    `observer_bug` would."""
+    out = []
+    for p in shape:
+        if p.kind is BlockKind.OBSERVER and (facing := _placed_facing(p.kind, p.orient, True)) is not p.orient:
+            p = p._replace(orient=facing)
+        out.append(p)
+    return out
+
+
+# The unextended Block each placement writes, shared by every placed world:
+# `_PLACED[observer_bug][kind.ordinal][orient.ordinal]`. Kinds no shape may
+# hold (air and piston heads) have no row.
+_PLACED = tuple(
+    tuple(
+        tuple(Block(kind, _placed_facing(kind, orient, bug), False) for orient in Orientation)
+        if kind in _OBSERVER_MEMBERS else None
+        for kind in BlockKind
+    )
+    for bug in (False, True)
+)
+
+
+def place_shape(world: WorldState, shape: Iterable[BlockPlacement], origin: Vec3, observer_bug: bool = False) -> WorldState:
+    """Write a shape into the world at `origin` + local position, each block
+    unextended and, when `observer_bug`, with the observer quirk applied (as
+    `apply_observer_bug` would); every block comes from a table built at
+    import and shared by all placed worlds.
 
     Local positions must stay inside the 3x3x3 spawn box and target cells must
-    be empty, so two placements at one local position overlap. The tick
-    counter is unchanged; placement generates no events.
+    be empty, so two placements at one local position overlap. Only the six
+    shape kinds place: air is absence and piston heads come from the
+    simulator. The tick counter is unchanged; placement generates no events.
     """
     new = world.copy()
     blocks = new.blocks
+    rows = _PLACED[observer_bug]
     ox, oy, oz = origin
     for pos, kind, orient in shape:
-        if kind is BlockKind.AIR:
-            raise ValueError("air is represented by absence, not a placement")
+        row = rows[kind.ordinal]
+        if row is None:
+            raise ValueError(f"{kind.name} is not a shape block (air is represented by absence)")
         x, y, z = pos
         if not (0 <= x < SPAWN_BOX_SIZE and 0 <= y < SPAWN_BOX_SIZE and 0 <= z < SPAWN_BOX_SIZE):
             raise OutOfBoundsError(f"local position {pos} outside [0,{SPAWN_BOX_SIZE})^3")
         target = (ox + x, oy + y, oz + z)
         if target in blocks:
             raise OverlapError(f"target cell {target} already occupied")
-        blocks[target] = _new(Block, (kind, orient, False))
+        blocks[target] = row[orient.ordinal]
     return new
 
 

@@ -27,7 +27,7 @@ from .blocks import (
     place_shape,
 )
 from .genome import DecodeConfig, Genome, decode
-from .sim import TickConfig, apply_observer_bug, run_until
+from .sim import TickConfig, run_until
 
 
 class EmptyExitLog(ValueError):
@@ -94,10 +94,7 @@ def classify_direction(exit_log: list[tuple[Vec3, int]], watch_center: tuple[flo
 
 def evaluate_shape(shape: list[BlockPlacement], tick_cfg: TickConfig, fit_cfg: FitnessConfig) -> EvaluationResult:
     """Evaluate an already-decoded shape in an isolated fresh world."""
-    world = WorldState()
-    if tick_cfg.emulate_observer_bug:
-        shape = apply_observer_bug(shape)
-    world = place_shape(world, shape, origin=(0, 0, 0))
+    world = place_shape(WorldState(), shape, (0, 0, 0), tick_cfg.emulate_observer_bug)
 
     watch = fit_cfg.watch_box
     placed = len(shape)

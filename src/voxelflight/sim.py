@@ -38,14 +38,12 @@ from typing import Callable, ClassVar, Optional
 from .blocks import (
     Block,
     BlockKind,
-    BlockPlacement,
     Orientation,
     Pulse,
     TickEvent,
     Vec3,
     WorldState,
     _new,
-    add,
     neighbors6,
 )
 
@@ -73,16 +71,6 @@ class TickConfig:
     push_limit: ClassVar[int] = 12
 
     emulate_observer_bug: bool = True
-
-
-def apply_observer_bug(shape: list[BlockPlacement]) -> list[BlockPlacement]:
-    """Rewrite Up/Down observer orientations to North, as placement would."""
-    out = []
-    for p in shape:
-        if p.kind is BlockKind.OBSERVER and p.orient in (Orientation.UP, Orientation.DOWN):
-            p = p._replace(orient=Orientation.NORTH)
-        out.append(p)
-    return out
 
 
 def compute_power(blocks: dict[Vec3, Block]) -> set[Vec3]:
@@ -113,7 +101,9 @@ def _immovable(block: Block) -> bool:
 def compute_push_set(world: WorldState, piston_pos: Vec3, direction: Orientation) -> Optional[set[Vec3]]:
     """Positions a piston extension would move, or None when blocked.
 
-    An empty set means the piston fires into air (head only).
+    An empty set means the piston fires into air (head only). The test of
+    `_immovable` and the six neighbours of a slime block are written out
+    inline: this runs for every extension that fires.
     """
     blocks = world.blocks
     dx, dy, dz = direction.vector
@@ -121,6 +111,7 @@ def compute_push_set(world: WorldState, piston_pos: Vec3, direction: Orientation
     if front not in blocks:
         return set()
     result: set[Vec3] = set()
+    limit = TickConfig.push_limit
     stack = [front]
     while stack:
         cell = stack.pop()
@@ -131,14 +122,16 @@ def compute_push_set(world: WorldState, piston_pos: Vec3, direction: Orientation
             continue
         if cell == piston_pos:
             return None  # slime loop back onto the pushing piston
-        if _immovable(block):
+        kind = block.kind
+        if kind is _HEAD_NORMAL or kind is _HEAD_STICKY or (block.extended and (kind is _PISTON or kind is _STICKY_PISTON)):
             return None
         result.add(cell)
-        if len(result) > TickConfig.push_limit:
+        if len(result) > limit:
             return None
-        if block.kind is _SLIME:
-            stack.extend(neighbors6(cell))
-        stack.append((cell[0] + dx, cell[1] + dy, cell[2] + dz))
+        x, y, z = cell
+        if kind is _SLIME:
+            stack += ((x + 1, y, z), (x - 1, y, z), (x, y + 1, z), (x, y - 1, z), (x, y, z + 1), (x, y, z - 1))
+        stack.append((x + dx, y + dy, z + dz))
     return result
 
 
@@ -181,13 +174,36 @@ def _pull_set(world: WorldState, piston_pos: Vec3, facing: Orientation) -> Optio
     return result
 
 
-def _translate_blocks(world: WorldState, cells: set[Vec3], offset: Vec3, moved: set[Vec3]) -> None:
-    saved = {cell: world.blocks.pop(cell) for cell in cells}
-    for cell, block in saved.items():
-        dest = add(cell, offset)
-        world.blocks[dest] = block
+def _translate_blocks(blocks: dict[Vec3, Block], cells: set[Vec3], offset: Vec3, moved: set[Vec3]) -> None:
+    """Move the blocks at `cells` by `offset`, all at once, and add every
+    vacated and every filled cell to `moved`."""
+    dx, dy, dz = offset
+    saved = [(cell, blocks.pop(cell)) for cell in cells]
+    for cell, block in saved:
+        dest = (cell[0] + dx, cell[1] + dy, cell[2] + dz)
+        blocks[dest] = block
         moved.add(cell)
         moved.add(dest)
+
+
+def _scan(blocks: dict[Vec3, Block]) -> tuple[list, list]:
+    """What `step` reads of the blocks each tick, from one power pass and
+    one pass over the blocks: the pistons as (position, extended, powered by
+    redstone, facing) and the observers as (position, sensed cell, output
+    cell), each list in position order."""
+    redstone = compute_power(blocks)
+    pistons = []
+    observers = []
+    for pos, block in blocks.items():
+        kind = block.kind
+        if kind is _PISTON or kind is _STICKY_PISTON:
+            pistons.append((pos, block.extended, pos in redstone, block.orient))
+        elif kind is _OBSERVER:
+            (x, y, z), (dx, dy, dz) = pos, block.orient.vector
+            observers.append((pos, (x + dx, y + dy, z + dz), (x - dx, y - dy, z - dz)))
+    pistons.sort()
+    observers.sort()
+    return pistons, observers
 
 
 def step(world: WorldState, cfg: TickConfig) -> tuple[WorldState, set[Vec3]]:
@@ -196,17 +212,18 @@ def step(world: WorldState, cfg: TickConfig) -> tuple[WorldState, set[Vec3]]:
     The block dict is copied just before a piston's first write, so after a
     tick where nothing fired (no event due, or every due one stale or
     blocked) the new world shares its input's blocks: change neither in
-    place, only a `copy()`. The piston scan is rebuilt only when the input
-    carries none, and handed on exactly when the blocks are shared: every
-    fired event moves a piston head.
+    place, only a `copy()`. Every world `step` returns carries the scan of
+    its blocks (`_scan`): the input's when nothing moved (every fired event
+    moves a piston head), otherwise one rebuilt once at the end of the tick,
+    whose observers are the ones checked for changed cells. A scan is built
+    at the start only for an input that carries none, such as a `copy()`.
     """
     blocks = world.blocks
     t = world.tick
     moved: set[Vec3] = set()
     scan = world.scan
     if scan is None:
-        redstone = compute_power(blocks)
-        scan = sorted((pos, b.extended, pos in redstone) for pos, b in blocks.items() if b.kind is _PISTON or b.kind is _STICKY_PISTON)
+        scan = _scan(blocks)
     pulsed = {cell for cell, start, end in world.pulses if start <= t < end} if world.pulses else ()
 
     # Every event is due one piston delay after it was scheduled, so the
@@ -215,10 +232,10 @@ def step(world: WorldState, cfg: TickConfig) -> tuple[WorldState, set[Vec3]]:
     # an active pulse) schedule a toggle, in sorted position order.
     split = bisect_right(world.events, t, key=_DUE)
     events = world.events[split:]
-    for pos, extended, powered in scan:
+    for pos, extended, powered, orient in scan[0]:
         if extended != (powered or pos in pulsed):
-            events.append(_new(TickEvent, (t + cfg.piston_delay, "retract" if extended else "extend", pos, blocks[pos].orient)))
-    w = WorldState(blocks, t + 1, events, [p for p in world.pulses if p.end > t + 1] if world.pulses else [])
+            events.append(_new(TickEvent, (t + cfg.piston_delay, "retract" if extended else "extend", pos, orient)))
+    w = WorldState(blocks, t + 1, events, [p for p in world.pulses if p.end > t + 1] if world.pulses else [], scan)
     for _due, action, pos, orient in world.events[:split]:
         block = blocks.get(pos)
         if block is None or not (block.kind is _PISTON or block.kind is _STICKY_PISTON) or block.orient is not orient:
@@ -233,7 +250,7 @@ def step(world: WorldState, cfg: TickConfig) -> tuple[WorldState, set[Vec3]]:
         dx, dy, dz = orient.vector
         head_pos = (pos[0] + dx, pos[1] + dy, pos[2] + dz)
         if action == "extend":
-            _translate_blocks(w, push, orient.vector, moved)
+            _translate_blocks(blocks, push, orient.vector, moved)
             blocks[head_pos] = _new(Block, (_HEAD_STICKY if block.kind is _STICKY_PISTON else _HEAD_NORMAL, orient, False))
             blocks[pos] = _new(Block, (block.kind, orient, True))
             moved.add(head_pos)
@@ -247,17 +264,15 @@ def step(world: WorldState, cfg: TickConfig) -> tuple[WorldState, set[Vec3]]:
             if block.kind is _STICKY_PISTON:
                 pull = _pull_set(w, pos, orient)
                 if pull:
-                    _translate_blocks(w, pull, (-dx, -dy, -dz), moved)
+                    _translate_blocks(blocks, pull, (-dx, -dy, -dz), moved)
 
     if moved:
+        w.scan = scan = _scan(blocks)
         # An observer senses the cell it faces and powers the cell behind it.
-        for (x, y, z), block in sorted((p, b) for p, b in blocks.items() if b.kind is _OBSERVER):
-            dx, dy, dz = block.orient.vector
-            if (x + dx, y + dy, z + dz) in moved:
-                start = t + cfg.observer_pulse_delay
-                w.pulses.append(_new(Pulse, ((x - dx, y - dy, z - dz), start, start + cfg.observer_pulse_length)))
-    else:
-        w.scan = scan
+        start = t + cfg.observer_pulse_delay
+        for _pos, sensed, output in scan[1]:
+            if sensed in moved:
+                w.pulses.append(_new(Pulse, (output, start, start + cfg.observer_pulse_length)))
     return w, moved
 
 

@@ -1,18 +1,18 @@
 import numpy as np
 
 from voxelflight import Archive, BlockPlacement, DecodeConfig, TickConfig, WorldState, step
-from voxelflight.blocks import ORIENTATION_ORDER, Block, BlockKind, Pulse, TickEvent, Vec3, _new, add, neighbors6
+from voxelflight.blocks import ORIENTATION_ORDER, Block, BlockKind, Pulse, TickEvent, Vec3, _new, neighbors6
 from voxelflight.genome import PRESENCE_THRESHOLD
-from voxelflight.sim import (
-    _HEAD_NORMAL,
-    _HEAD_STICKY,
-    _OBSERVER,
-    _PISTON,
-    _STICKY_PISTON,
-    _pull_set,
-    _translate_blocks,
-    compute_push_set,
-)
+
+_PISTON = BlockKind.PISTON
+_STICKY_PISTON = BlockKind.STICKY_PISTON
+_HEAD_NORMAL = BlockKind.PISTON_HEAD_NORMAL
+_HEAD_STICKY = BlockKind.PISTON_HEAD_STICKY
+_OBSERVER = BlockKind.OBSERVER
+
+
+def add(a: Vec3, b: Vec3) -> Vec3:
+    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
 
 
 def genome_for_shape(shape, cfg: DecodeConfig):
@@ -136,11 +136,96 @@ def reference_power(world):
     return powered
 
 
+# The push, pull and translation rules as the kernel stated them before it
+# inlined its helper calls, kept here so that `reference_step` shares no code
+# with the `step` it checks.
+
+
+def reference_immovable(block: Block) -> bool:
+    """A piston head or an extended piston base: never pushed or pulled."""
+    kind = block.kind
+    if kind is _HEAD_NORMAL or kind is _HEAD_STICKY:
+        return True
+    return block.extended and (kind is _PISTON or kind is _STICKY_PISTON)
+
+
+def reference_push_set(world: WorldState, piston_pos: Vec3, direction) -> set[Vec3] | None:
+    """Positions a piston extension would move, or None when blocked."""
+    blocks = world.blocks
+    dx, dy, dz = direction.vector
+    front = (piston_pos[0] + dx, piston_pos[1] + dy, piston_pos[2] + dz)
+    if front not in blocks:
+        return set()
+    result: set[Vec3] = set()
+    stack = [front]
+    while stack:
+        cell = stack.pop()
+        if cell in result:
+            continue
+        block = blocks.get(cell)
+        if block is None:
+            continue
+        if cell == piston_pos:
+            return None  # slime loop back onto the pushing piston
+        if reference_immovable(block):
+            return None
+        result.add(cell)
+        if len(result) > TickConfig.push_limit:
+            return None
+        if block.kind is BlockKind.SLIME_BLOCK:
+            stack.extend(neighbors6(cell))
+        stack.append((cell[0] + dx, cell[1] + dy, cell[2] + dz))
+    return result
+
+
+def reference_pull_set(world: WorldState, piston_pos: Vec3, facing) -> set[Vec3] | None:
+    """Positions a sticky retraction drags toward the piston, or None for no pull."""
+    blocks = world.blocks
+    dx, dy, dz = facing.vector
+    target = (piston_pos[0] + 2 * dx, piston_pos[1] + 2 * dy, piston_pos[2] + 2 * dz)
+    first = blocks.get(target)
+    if first is None or reference_immovable(first):
+        return None
+    result: set[Vec3] = set()
+    stack = [target]
+    while stack:
+        cell = stack.pop()
+        if cell in result or cell == piston_pos:
+            continue
+        block = blocks.get(cell)
+        if block is None:
+            continue
+        if reference_immovable(block):
+            continue  # immovable: not dragged, does not cancel the pull
+        result.add(cell)
+        if len(result) > TickConfig.push_limit:
+            return None
+        if block.kind is BlockKind.SLIME_BLOCK:
+            stack.extend(neighbors6(cell))
+    for cell in result:
+        dest = (cell[0] - dx, cell[1] - dy, cell[2] - dz)
+        if dest in result:
+            continue
+        if dest in blocks:
+            return None  # destination occupied by a non-member: whole pull fails
+    return result
+
+
+def reference_translate(world: WorldState, cells: set[Vec3], offset: Vec3, moved: set[Vec3]) -> None:
+    saved = {cell: world.blocks.pop(cell) for cell in cells}
+    for cell, block in saved.items():
+        dest = add(cell, offset)
+        world.blocks[dest] = block
+        moved.add(cell)
+        moved.add(dest)
+
+
 def reference_step(world: WorldState, cfg: TickConfig) -> tuple[WorldState, set[Vec3]]:
     """One tick the plain way: copy the world, find power by the documented
     rule (`reference_power`, not the program's `compute_power`) and
-    out-of-step pistons by scanning every block, and split due from pending
-    events by their due tick. `step` must give an equal world and an equal
+    out-of-step pistons by scanning every block, split due from pending
+    events by their due tick, and push, pull and move blocks with the
+    reference copies above. `step` must give an equal world and an equal
     moved set."""
     w = world.copy()
     blocks = w.blocks
@@ -180,10 +265,10 @@ def reference_step(world: WorldState, cfg: TickConfig) -> tuple[WorldState, set[
         if action == "extend":
             if block.extended:
                 continue
-            push = compute_push_set(w, pos, orient)
+            push = reference_push_set(w, pos, orient)
             if push is None:
                 continue  # blocked pistons simply do not fire
-            _translate_blocks(w, push, orient.vector, moved)
+            reference_translate(w, push, orient.vector, moved)
             blocks[head_pos] = _new(Block, (_HEAD_STICKY if block.kind is _STICKY_PISTON else _HEAD_NORMAL, orient, False))
             blocks[pos] = _new(Block, (block.kind, orient, True))
             moved.add(head_pos)
@@ -197,9 +282,9 @@ def reference_step(world: WorldState, cfg: TickConfig) -> tuple[WorldState, set[
             moved.add(head_pos)
             blocks[pos] = _new(Block, (block.kind, orient, False))
             if block.kind is _STICKY_PISTON:
-                pull = _pull_set(w, pos, orient)
+                pull = reference_pull_set(w, pos, orient)
                 if pull:
-                    _translate_blocks(w, pull, (-dx, -dy, -dz), moved)
+                    reference_translate(w, pull, (-dx, -dy, -dz), moved)
 
     if moved:
         # An observer senses the cell it faces and powers the cell behind it.

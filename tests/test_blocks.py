@@ -9,21 +9,26 @@ from voxelflight import (
     Block,
     BlockKind,
     BlockPlacement,
+    BlockSet,
     Box,
+    DecodeConfig,
     Orientation,
     OutOfBoundsError,
     OverlapError,
     WorldState,
     FitnessConfig,
+    apply_observer_bug,
     center_of_mass,
     count_blocks,
     format_shape,
     parse_shape,
     place_shape,
+    decode,
+    random_genome,
 )
 from voxelflight.blocks import SPAWN_BOX_SIZE
 
-from helpers import translated
+from helpers import add, translated
 
 Q = BlockKind.QUARTZ_BLOCK
 N = Orientation.NORTH
@@ -72,7 +77,7 @@ class TestPlaceShape:
         assert w.tick == 0
 
     def test_placed_blocks_are_unextended_blocks(self):
-        # place_shape builds each Block with tuple.__new__, which bypasses the constructor.
+        # place_shape takes each Block from a table built at import.
         shape = [BlockPlacement((0, 0, 0), Q, N), BlockPlacement((1, 0, 0), BlockKind.PISTON, Orientation.UP)]
         w = place_shape(WorldState(), shape, (4, 5, 6))
         assert len(w.blocks) == 2
@@ -107,6 +112,58 @@ class TestPlaceShape:
     def test_count_matches_placements(self):
         w = world_with((0, 0, 0), (1, 2, 0), (2, 2, 2))
         assert count_blocks(w, Box((0, 0, 0), (3, 3, 3))) == 3
+
+
+def single_block_shapes():
+    """One shape per (kind, facing) pair a shape may hold: 36 in all."""
+    return [
+        [BlockPlacement((1, 1, 1), kind, orient)]
+        for kind in BlockSet.OBSERVER.members
+        for orient in Orientation
+    ]
+
+
+def random_decoded_shapes(count, seed):
+    rng = np.random.default_rng(seed)
+    cfg = DecodeConfig(block_set=BlockSet.OBSERVER)
+    return [decode(random_genome(rng, cfg.genome_length), cfg) for _ in range(count)]
+
+
+class TestPlacementTable:
+    """`place_shape` takes its blocks from a shared table, with the observer
+    rewrite in the table's rows when `observer_bug` is set. Placing must
+    equal writing `Block(kind, facing, False)` for each placement, in shape
+    order, with the facing `apply_observer_bug` gives when the quirk is on."""
+
+    ORIGIN = (4, 5, 6)
+
+    def assert_places(self, shapes):
+        rewritten = 0
+        for shape in shapes:
+            plain = place_shape(WorldState(), shape, self.ORIGIN)
+            bugged = place_shape(WorldState(), shape, self.ORIGIN, observer_bug=True)
+            fixed = apply_observer_bug(shape)
+            assert bugged == place_shape(WorldState(), fixed, self.ORIGIN)
+            for world, placed in ((plain, shape), (bugged, fixed)):
+                expected = [(add(self.ORIGIN, p.pos), Block(p.kind, p.orient, False)) for p in placed]
+                assert list(world.blocks.items()) == expected
+                assert all(type(b) is Block for b in world.blocks.values())
+                assert world.tick == 0 and world.events == [] and world.pulses == []
+            rewritten += fixed != shape
+        assert rewritten > 0  # some shapes hold an Up or Down observer
+
+    def test_every_kind_and_facing(self):
+        shapes = single_block_shapes()
+        assert len({(s[0].kind, s[0].orient) for s in shapes}) == 36
+        self.assert_places(shapes)
+
+    def test_random_decoded_shapes(self):
+        self.assert_places(random_decoded_shapes(500, seed=21))
+
+    @pytest.mark.parametrize("kind", [BlockKind.PISTON_HEAD_NORMAL, BlockKind.PISTON_HEAD_STICKY])
+    def test_heads_are_not_shape_blocks(self, kind):
+        with pytest.raises(ValueError):
+            place_shape(WorldState(), [BlockPlacement((0, 0, 0), kind, N)], (0, 0, 0))
 
 
 class TestCenterOfMass:

@@ -30,7 +30,7 @@ from voxelflight import (
     step,
 )
 from voxelflight.blocks import Pulse, TickEvent
-from voxelflight.sim import _find_cycle, _moved_forward, _repeats
+from voxelflight.sim import _find_cycle, _moved_forward, _repeats, _scan
 
 from helpers import reference_power, reference_run_until, reference_step, settled, translated
 
@@ -881,15 +881,17 @@ def random_observer_worlds(count, seed):
 
 
 class TestReferenceStep:
-    """`step` carries its piston scan across ticks where nothing moved,
-    copies the blocks only when a piston fires and takes the due events as
-    a prefix of the event list; at every tick it must give the world and
-    the moved set of `reference_step`, which does none of that. With
-    `drop_scan`, every step gets a `copy()` of the world, which carries no
-    scan, so the scan is rebuilt on every tick."""
+    """`step` carries its scan across ticks where nothing moved, rebuilds it
+    at the end of a tick that moved blocks, copies the blocks only when a
+    piston fires and takes the due events as a prefix of the event list; at
+    every tick it must give the world and the moved set of `reference_step`,
+    which does none of that, and every world it returns must carry the scan
+    a fresh rebuild from its blocks gives. With `drop_scan`, every step gets
+    a `copy()` of the world, which carries no scan, so the scan is also
+    built at the start of every tick."""
 
     def assert_matches(self, worlds, ticks, drop_scan):
-        carried = shared = fired = 0
+        carried = rebuilt = 0
         for world, cfg in worlds:
             fast = slow = world
             for _ in range(ticks):
@@ -898,12 +900,13 @@ class TestReferenceStep:
                 slow, expected = reference_step(slow, cfg)
                 assert moved == expected
                 assert fast == slow  # blocks, tick, events, pulses
-                carried += fast.scan is not None
-                shared += fast.blocks is before.blocks
-                fired += bool(moved)
-        # Guards against a vacuous pass: some ticks hand the scan on and
-        # share the blocks, and some move blocks.
-        assert carried > 0 and shared > 0 and fired > 0
+                assert fast.scan == _scan(fast.blocks)
+                assert (fast.blocks is before.blocks) == (not moved)
+                carried += not moved
+                rebuilt += bool(moved)
+        # Guards against a vacuous pass: some ticks share the blocks and hand
+        # the scan on, and some move blocks and rebuild it at the end.
+        assert carried > 0 and rebuilt > 0
 
     @pytest.mark.parametrize("drop_scan", [False, True])
     def test_pf_harvest(self, pf_harvest, drop_scan):
