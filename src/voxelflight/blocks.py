@@ -67,13 +67,6 @@ class Orientation(Enum):
         self.vector = (x, y, z)
 
 
-# Placement indexes its table by these ints, never by hashing an Enum:
-# `Enum.__hash__` is a Python-level call.
-for _enum in (BlockKind, Orientation):
-    for _ordinal, _member in enumerate(_enum):
-        _member.ordinal = _ordinal
-
-
 # Fixed order used by the genome decoder and by direction tie-breaking: the declaration order.
 ORIENTATION_ORDER: tuple[Orientation, ...] = tuple(Orientation)
 
@@ -81,6 +74,8 @@ ORIENTATION_ORDER: tuple[Orientation, ...] = tuple(Orientation)
 class BlockSet(Enum):
     ORIGINAL = "original"
     OBSERVER = "observer"
+
+    ordinal: int  # position in declaration order, set below
 
     @property
     def members(self) -> tuple[BlockKind, ...]:
@@ -98,6 +93,12 @@ _ORIGINAL_MEMBERS = (
     BlockKind.STICKY_PISTON,
 )
 _OBSERVER_MEMBERS = _ORIGINAL_MEMBERS + (BlockKind.OBSERVER,)
+
+# Placement and decoding index their tables by these ints, never by hashing
+# an Enum: `Enum.__hash__` is a Python-level call.
+for _enum in (BlockKind, Orientation, BlockSet):
+    for _ordinal, _member in enumerate(_enum):
+        _member.ordinal = _ordinal
 
 
 class BlockPlacement(NamedTuple):
@@ -186,7 +187,9 @@ class WorldState:
     A WorldState is a value: operations take a world and return a new one,
     which may share the input's block dict (`sim.step` copies it only when a
     piston fires; a world moved forward in time shares it), so never change
-    a world's blocks in place: change a `copy()`. `scan` is what `sim.step`
+    a world's blocks in place: change a `copy()`. The fitness poll relies on
+    this: it scans each block dict it is handed once per evaluation, and
+    reuses that scan when a later world shares the dict. `scan` is what `sim.step`
     reads of the blocks each tick (its pistons and observers, see
     `sim._scan`), handed on by `step` with every world it returns; `==`,
     `repr` and `copy()` ignore it.

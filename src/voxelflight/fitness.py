@@ -93,7 +93,13 @@ def classify_direction(exit_log: list[tuple[Vec3, int]], watch_center: tuple[flo
 
 
 def evaluate_shape(shape: list[BlockPlacement], tick_cfg: TickConfig, fit_cfg: FitnessConfig) -> EvaluationResult:
-    """Evaluate an already-decoded shape in an isolated fresh world."""
+    """Evaluate an already-decoded shape in an isolated fresh world.
+
+    Each poll scans the watch region only for a block dict no earlier poll of
+    this evaluation has scanned: cycle projections and quiet ticks share
+    their stored world's blocks, and a handed-out world's blocks never change
+    (see `WorldState`), so a repeated dict has the centre of mass, count and
+    exits it had when first scanned."""
     world = place_shape(WorldState(), shape, (0, 0, 0), tick_cfg.emulate_observer_bug)
 
     watch = fit_cfg.watch_box
@@ -103,18 +109,29 @@ def evaluate_shape(shape: list[BlockPlacement], tick_cfg: TickConfig, fit_cfg: F
     flew = False
     leftover = 0
     last_com = None
+    # id(block dict) -> (the dict, its centre of mass in the watch box).
+    # Holding each dict keeps its id from being reused within the evaluation.
+    scanned: dict[int, tuple] = {}
 
     def poll(world: WorldState, second: int) -> bool:
         nonlocal flew, leftover, last_com
-        com = center_of_mass(world, watch)
-        inside = count_blocks(world, watch)
-        if inside < len(world.blocks):  # with every block inside, none can have newly left
-            for pos in sorted(pos for pos in world.blocks if pos not in exits and not watch.contains(pos)):
-                exits[pos] = world.tick
-        if placed - inside > fit_cfg.fly_threshold:
-            flew = True
-            leftover = inside
-            return False
+        blocks = world.blocks
+        seen = scanned.get(id(blocks))
+        if seen is not None:
+            # Its cells outside were logged, and were too few for a flight,
+            # when it was first scanned.
+            com = seen[1]
+        else:
+            com = center_of_mass(world, watch)
+            inside = count_blocks(world, watch)
+            scanned[id(blocks)] = (blocks, com)
+            if inside < len(blocks):  # with every block inside, none can have newly left
+                for pos in sorted(pos for pos in blocks if pos not in exits and not watch.contains(pos)):
+                    exits[pos] = world.tick
+            if placed - inside > fit_cfg.fly_threshold:
+                flew = True
+                leftover = inside
+                return False
         unchanged = second > 0 and com == last_com
         last_com = com
         if com is not None:

@@ -14,7 +14,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .blocks import BlockPlacement, BlockSet, ORIENTATION_ORDER, SPAWN_BOX_SIZE, _new
+from .blocks import BlockPlacement, BlockSet, ORIENTATION_ORDER, SPAWN_BOX_SIZE
 
 Genome = np.ndarray
 
@@ -49,28 +49,46 @@ class DecodeConfig:
         return (x, y, z)
 
 
-# Cell of each gene triple, in genome order; `cell_for_index` defines the order.
-_CELLS = tuple(DecodeConfig().cell_for_index(i) for i in range(DecodeConfig.volume))
-# Orientation by interval index, the last repeated: a gene of exactly 1.0 maps
-# to index 6, which is the last interval, as `min(int(g * 6), 5)` would give.
-_ORIENTS = ORIENTATION_ORDER + ORIENTATION_ORDER[-1:]
+def _last_repeated(intervals: tuple) -> tuple:
+    """Entries by interval index, the last repeated: a gene of exactly 1.0
+    maps to index len(intervals), which then lands in the last interval, as
+    `min(int(g * n), n - 1)` would give."""
+    return intervals + intervals[-1:]
+
+
+def _decode_table(block_set: BlockSet) -> tuple:
+    """Every placement a gene triple can decode to under `block_set`, as
+    `table[cell][int(kind_gene * k)][int(orient_gene * 6)]` for its k kinds."""
+    cfg = DecodeConfig(block_set)
+    return tuple(
+        _last_repeated(tuple(
+            _last_repeated(tuple(BlockPlacement(cell, kind, orient) for orient in ORIENTATION_ORDER))
+            for kind in block_set.members
+        ))
+        for cell in map(cfg.cell_for_index, range(cfg.volume))
+    )
+
+
+# (k, table) by `BlockSet.ordinal`: the placements are built once, at import,
+# and shared by every decoded shape.
+_DECODE_TABLES = tuple((len(block_set.members), _decode_table(block_set)) for block_set in BlockSet)
 
 
 def decode(genome: Genome, cfg: DecodeConfig) -> list[BlockPlacement]:
-    """Turn a genome into block placements in deterministic cell order. Genes
-    lie in [0, 1], as `genome_from_line` enforces: the interval tables assume it."""
+    """Turn a genome into block placements in deterministic cell order, each
+    looked up in the block set's decode table (so decoding builds no
+    placement, and two decodes of one genome return the same objects). Genes
+    lie in [0, 1], as `genome_from_line` enforces: the table assumes it."""
     if len(genome) != cfg.genome_length:
         raise LengthMismatchError(f"expected length {cfg.genome_length}, got {len(genome)}")
     # Python floats hold the same doubles as the array, without numpy's per-element boxing.
     genes = genome.tolist()
-    members = cfg.block_set.members
-    k = len(members)
-    kinds = members + members[-1:]  # as `_ORIENTS`: a gene of 1.0 maps to the last kind
-    shape: list[BlockPlacement] = []
-    for cell, presence, kind_gene, orient_gene in zip(_CELLS, genes[0::3], genes[1::3], genes[2::3]):
-        if presence > PRESENCE_THRESHOLD:
-            shape.append(_new(BlockPlacement, (cell, kinds[int(kind_gene * k)], _ORIENTS[int(orient_gene * 6)])))
-    return shape
+    k, table = _DECODE_TABLES[cfg.block_set.ordinal]
+    return [
+        by_kind[int(kind_gene * k)][int(orient_gene * 6)]
+        for by_kind, presence, kind_gene, orient_gene in zip(table, genes[0::3], genes[1::3], genes[2::3])
+        if presence > PRESENCE_THRESHOLD
+    ]
 
 
 def random_genome(rng: np.random.Generator, length: int) -> Genome:

@@ -1,9 +1,11 @@
 import enum
 import math
+import os
 
 import numpy as np
 import pytest
 
+import voxelflight as vf
 import voxelflight.fitness
 from voxelflight import (
     Block,
@@ -30,6 +32,7 @@ K = BlockKind
 O = Orientation
 TICK = TickConfig()
 FIT = FitnessConfig()
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
 
 class TestConfig:
@@ -230,3 +233,87 @@ class TestEvaluate:
     def test_csv_row(self):
         result = EvaluationResult(54.9, True, O.EAST, [], 1, 60)
         assert result.csv_row() == "54.9,true,EAST,1,60"
+
+
+@pytest.fixture(scope="module")
+def poll_cases():
+    """(genome, decode config, tick config): the benchmark corpus's reference
+    flyer with its rotations and its PF harvest of busy oscillators, then 300
+    random genomes for each block set and observer-bug setting."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(BENCH)
+        import corpus
+    with open(os.path.join(BENCH, "corpus.txt")) as fh:
+        _seed, sections = corpus.parse_corpus(vf, fh.read())
+    observer = DecodeConfig(block_set=BlockSet.OBSERVER)
+    cases = [(genome, observer, TICK) for genome in sections["flyer"] + sections["harvest"]]
+    rng = np.random.default_rng(37)
+    for block_set in BlockSet:
+        cfg = DecodeConfig(block_set=block_set)
+        for bug in (True, False):
+            tick_cfg = TickConfig(emulate_observer_bug=bug)
+            cases += [(random_genome(rng, cfg.genome_length), cfg, tick_cfg) for _ in range(300)]
+    return cases
+
+
+class TestPollScansEachBlockDictOnce:
+    """The poll scans the watch region once per block dict an evaluation
+    hands it, and reuses that scan when a later world shares the dict."""
+
+    def evaluate_counting(self, cases, copy_polled):
+        """Results, and (polls, scans) per evaluation; with `copy_polled`
+        the poll receives a copy of each world, so no block dict repeats."""
+        real_run_until, real_count_blocks = voxelflight.fitness.run_until, voxelflight.fitness.count_blocks
+        counts = []
+
+        def counting_run_until(world, cfg, seconds, observer):
+            def poll(w, second):
+                counts[-1][0] += 1
+                return observer(w.copy() if copy_polled else w, second)
+
+            return real_run_until(world, cfg, seconds, poll)
+
+        def counting_count_blocks(world, region):
+            counts[-1][1] += 1
+            return real_count_blocks(world, region)
+
+        results = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(voxelflight.fitness, "run_until", counting_run_until)
+            mp.setattr(voxelflight.fitness, "count_blocks", counting_count_blocks)
+            for genome, decode_cfg, tick_cfg in cases:
+                counts.append([0, 0])
+                results.append(evaluate(genome, decode_cfg, tick_cfg, FIT))
+        return results, counts
+
+    def test_same_results_when_every_poll_scans(self, poll_cases):
+        shared, shared_counts = self.evaluate_counting(poll_cases, copy_polled=False)
+        copied, copied_counts = self.evaluate_counting(poll_cases, copy_polled=True)
+        assert all(scans == polls for polls, scans in copied_counts)
+        # Whole results: trajectory, exit log and ticks used included.
+        assert shared == copied
+        assert [polls for polls, _ in shared_counts] == [polls for polls, _ in copied_counts]
+        # Guards against a vacuous pass: some evaluations reused a scan.
+        assert sum(1 for polls, scans in shared_counts if scans < polls) > len(poll_cases) // 10
+
+    def test_polled_blocks_never_change_afterwards(self, poll_cases, monkeypatch):
+        # The reuse is exact only because a world's blocks stay as they were
+        # when it was polled, for the rest of the run.
+        real_run_until = voxelflight.fitness.run_until
+        changed = []
+
+        def snapshotting_run_until(world, cfg, seconds, observer):
+            polled = []
+
+            def poll(w, second):
+                polled.append((w.blocks, dict(w.blocks)))
+                return observer(w, second)
+
+            final = real_run_until(world, cfg, seconds, poll)
+            changed.extend(blocks for blocks, snapshot in polled if blocks != snapshot)
+            return final
+
+        monkeypatch.setattr(voxelflight.fitness, "run_until", snapshotting_run_until)
+        for genome, decode_cfg, tick_cfg in poll_cases:
+            evaluate(genome, decode_cfg, tick_cfg, FIT)
+        assert changed == []

@@ -122,8 +122,10 @@ class TestDecodeMatchesReference:
             g = random_genome(rng, cfg.genome_length)
             shape = decode(g, cfg)
             assert shape == reference_decode(g, cfg)
-            # decode builds placements with tuple.__new__, which bypasses the constructor.
+            # decode looks its placements up in a table built at import, so
+            # two decodes of one genome share the same objects.
             assert all(type(p) is BlockPlacement for p in shape)
+            assert all(a is b for a, b in zip(shape, decode(g, cfg), strict=True))
 
     def test_boundary_genes(self, cfg):
         triples = list(itertools.product(boundary_genes(), repeat=3))
