@@ -116,7 +116,8 @@ class Block(NamedTuple):
 
 
 class Pulse(NamedTuple):
-    """A scheduled observer power pulse: powers `cell` during [start, end)."""
+    """A scheduled observer power pulse: powers `cell` while
+    `start <= 0 < end`, both counted in ticks from its world's tick."""
 
     cell: Vec3
     start: int
@@ -124,8 +125,9 @@ class Pulse(NamedTuple):
 
 
 class TickEvent(NamedTuple):
-    """A pending piston action. A world's event list is in scheduling order,
-    and events due on the same tick fire in that order."""
+    """A pending piston action, due `due` ticks after its world's tick (it
+    fires when `due` is 0 or less). A world's event list is in scheduling
+    order, and events due on the same tick fire in that order."""
 
     due: int
     action: str  # "extend" | "retract"
@@ -182,24 +184,27 @@ class Box:
 
 @dataclass
 class WorldState:
-    """Sparse voxel world plus pending tick events.
+    """Sparse voxel world plus pending tick events and observer pulses.
 
+    Event and pulse times are counted from `tick` (see `TickEvent` and
+    `Pulse`), so two worlds in the same state at different ticks hold equal
+    event and pulse lists, and moving a world in time changes `tick` alone.
     A WorldState is a value: operations take a world and return a new one,
     which may share the input's block dict (`sim.step` copies it only when a
-    piston fires; a world moved forward in time shares it), so never change
-    a world's blocks in place: change a `copy()`. The fitness poll relies on
-    this: it scans each block dict it is handed once per evaluation, and
-    reuses that scan when a later world shares the dict. `scan` is what `sim.step`
-    reads of the blocks each tick (its pistons and observers, see
-    `sim._scan`), handed on by `step` with every world it returns; `==`,
-    `repr` and `copy()` ignore it.
+    piston fires) and, moved forward in time, its event and pulse lists too.
+    So never change a world's blocks, events or pulses in place: change a
+    `copy()`. The fitness poll relies on this: it scans each block dict it is
+    handed once per evaluation, and reuses that scan when a later world
+    shares the dict. `scan` is what the simulator reads of the blocks each
+    tick (see `sim._scan`), handed on by `sim.step` with every world it
+    returns; `==`, `repr` and `copy()` ignore it.
     """
 
     blocks: dict[Vec3, Block] = field(default_factory=dict)
     tick: int = 0
     events: list[TickEvent] = field(default_factory=list)
     pulses: list[Pulse] = field(default_factory=list)
-    scan: Optional[tuple[list, list]] = field(default=None, compare=False, repr=False)
+    scan: Optional[tuple[list, list, frozenset]] = field(default=None, compare=False, repr=False)
 
     def copy(self) -> "WorldState":
         return WorldState(dict(self.blocks), self.tick, list(self.events), list(self.pulses))

@@ -23,9 +23,10 @@ reproducible bit-for-bit:
   through slime are skipped; the pull is all-or-nothing (any blocked
   destination, or more members than the push limit, cancels it).
 * Observers: an observer whose sensing cell (the cell it faces) changed this
-  tick schedules a pulse that powers the cell behind it, `pulse_delay` ticks
-  later, for `pulse_length` ticks. A cell "changed" when a block left it or
-  arrived in it, including the observer's own displacement.
+  tick schedules a pulse that powers the cell behind it,
+  `TickConfig.observer_pulse_delay` ticks later, for
+  `TickConfig.observer_pulse_length` ticks. A cell "changed" when a block
+  left it or arrived in it, including the observer's own displacement.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ _HEAD_STICKY = BlockKind.PISTON_HEAD_STICKY
 _REDSTONE = BlockKind.REDSTONE_BLOCK
 _SLIME = BlockKind.SLIME_BLOCK
 _OBSERVER = BlockKind.OBSERVER
-_DUE = itemgetter(0)  # an event's due tick
+_DUE = itemgetter(0)  # an event's ticks until due
 
 
 @dataclass(frozen=True)
@@ -186,11 +187,12 @@ def _translate_blocks(blocks: dict[Vec3, Block], cells: set[Vec3], offset: Vec3,
         moved.add(dest)
 
 
-def _scan(blocks: dict[Vec3, Block]) -> tuple[list, list]:
+def _scan(blocks: dict[Vec3, Block]) -> tuple[list, list, frozenset[Vec3]]:
     """What `step` reads of the blocks each tick, from one power pass and
     one pass over the blocks: the pistons as (position, extended, powered by
     redstone, facing) and the observers as (position, sensed cell, output
-    cell), each list in position order."""
+    cell), each list in position order; and the occupied cells, which
+    `_find_cycle` keys the world by."""
     redstone = compute_power(blocks)
     pistons = []
     observers = []
@@ -203,12 +205,15 @@ def _scan(blocks: dict[Vec3, Block]) -> tuple[list, list]:
             observers.append((pos, (x + dx, y + dy, z + dz), (x - dx, y - dy, z - dz)))
     pistons.sort()
     observers.sort()
-    return pistons, observers
+    return pistons, observers, frozenset(blocks)
 
 
 def step(world: WorldState, cfg: TickConfig) -> tuple[WorldState, set[Vec3]]:
     """Advance exactly one tick; returns the new world and the changed cells.
 
+    Event and pulse times count from the tick (see `WorldState`): events
+    with `due <= 0` fire, pulses with `start <= 0 < end` power their cells,
+    and the new world holds each pending event and pulse one tick closer.
     The block dict is copied just before a piston's first write, so after a
     tick where nothing fired (no event due, or every due one stale or
     blocked) the new world shares its input's blocks: change neither in
@@ -219,23 +224,28 @@ def step(world: WorldState, cfg: TickConfig) -> tuple[WorldState, set[Vec3]]:
     at the start only for an input that carries none, such as a `copy()`.
     """
     blocks = world.blocks
-    t = world.tick
     moved: set[Vec3] = set()
     scan = world.scan
     if scan is None:
         scan = _scan(blocks)
-    pulsed = {cell for cell, start, end in world.pulses if start <= t < end} if world.pulses else ()
+    pulses = world.pulses
+    if pulses:
+        pulsed = {cell for cell, start, end in pulses if start <= 0 < end}
+        pulses = [_new(Pulse, (cell, start - 1, end - 1)) for cell, start, end in pulses if end > 1]
+    else:
+        pulsed, pulses = (), []
 
     # Every event is due one piston delay after it was scheduled, so the
     # event list is in order of due tick and the due events are a prefix.
     # Pistons whose extension state differs from their power (redstone or
     # an active pulse) schedule a toggle, in sorted position order.
-    split = bisect_right(world.events, t, key=_DUE)
-    events = world.events[split:]
+    split = bisect_right(world.events, 0, key=_DUE)
+    events = [_new(TickEvent, (due - 1, action, pos, orient)) for due, action, pos, orient in world.events[split:]]
+    due = cfg.piston_delay - 1
     for pos, extended, powered, orient in scan[0]:
         if extended != (powered or pos in pulsed):
-            events.append(_new(TickEvent, (t + cfg.piston_delay, "retract" if extended else "extend", pos, orient)))
-    w = WorldState(blocks, t + 1, events, [p for p in world.pulses if p.end > t + 1] if world.pulses else [], scan)
+            events.append(_new(TickEvent, (due, "retract" if extended else "extend", pos, orient)))
+    w = WorldState(blocks, world.tick + 1, events, pulses, scan)
     for _due, action, pos, orient in world.events[:split]:
         block = blocks.get(pos)
         if block is None or not (block.kind is _PISTON or block.kind is _STICKY_PISTON) or block.orient is not orient:
@@ -269,49 +279,30 @@ def step(world: WorldState, cfg: TickConfig) -> tuple[WorldState, set[Vec3]]:
     if moved:
         w.scan = scan = _scan(blocks)
         # An observer senses the cell it faces and powers the cell behind it.
-        start = t + cfg.observer_pulse_delay
+        start = cfg.observer_pulse_delay - 1
+        end = start + cfg.observer_pulse_length
         for _pos, sensed, output in scan[1]:
             if sensed in moved:
-                w.pulses.append(_new(Pulse, (output, start, start + cfg.observer_pulse_length)))
+                w.pulses.append(_new(Pulse, (output, start, end)))
     return w, moved
 
 
 def _moved_forward(world: WorldState, ticks: int) -> WorldState:
-    """`world` later in time, sharing its block dict: the tick, every
-    event's due tick and every pulse's window move by `ticks`. `step` only
-    ever reads times relative to the tick, so stepping commutes with it."""
-    return WorldState(
-        world.blocks,
-        world.tick + ticks,
-        [_new(TickEvent, (due + ticks, action, pos, orient)) for due, action, pos, orient in world.events],
-        [_new(Pulse, (cell, start + ticks, end + ticks)) for cell, start, end in world.pulses],
-    )
+    """`world` `ticks` later, sharing its blocks, events and pulses: their
+    times count from the tick, and `step` reads the tick only to add one to
+    it, so stepping commutes with this."""
+    return WorldState(world.blocks, world.tick + ticks, world.events, world.pulses)
 
 
 def _repeats(earlier: WorldState, later: WorldState) -> bool:
-    """Whether `later` is `earlier` moved forward to its tick, that is
-    `_moved_forward(earlier, later.tick - earlier.tick) == later`, compared
-    in place without building the moved world: events and pulses pairwise
-    with the earlier times shifted by the tick difference, then the blocks,
-    the costliest part, last."""
-    events, pulses = later.events, later.pulses
-    if len(earlier.events) != len(events) or len(earlier.pulses) != len(pulses):
-        return False
-    ticks = later.tick - earlier.tick
-    for (due, action, pos, orient), e in zip(earlier.events, events):
-        if due + ticks != e.due or pos != e.pos or action != e.action or orient is not e.orient:
-            return False
-    for (cell, start, end), p in zip(earlier.pulses, pulses):
-        if start + ticks != p.start or end + ticks != p.end or cell != p.cell:
-            return False
-    return earlier.blocks == later.blocks
+    """Whether `later` is `earlier` moved forward to its tick: the same
+    events and pulses (both relative to the tick), then the same blocks, the
+    costliest part, last."""
+    return earlier.events == later.events and earlier.pulses == later.pulses and earlier.blocks == later.blocks
 
 
-def _find_cycle(
-    history: list[WorldState], seen: dict[tuple, list[int]], cells: Optional[frozenset[Vec3]]
-) -> tuple[Optional[tuple[int, int]], frozenset[Vec3]]:
-    """Register the newest world of `history`; return the cycle it closes, if
-    any, and the world's occupied cells, to pass in with the next world.
+def _find_cycle(history: list[WorldState], seen: dict[tuple, list[int]]) -> Optional[tuple[int, int]]:
+    """Register the newest world of `history`; return the cycle it closes, if any.
 
     A cycle (j, period) means: from stepped index j on, the world after
     j + phase + laps*period steps is history[j + phase] moved forward by
@@ -319,19 +310,17 @@ def _find_cycle(
     earlier one (see `_repeats`); a settled world is a cycle of period 1,
     found one step after it settles. Candidates are keyed by occupied cells
     and queue lengths, which hash only int tuples; a hit is then compared in
-    full. The previous world's `cells` are reused when the newest world
-    shares its block dict, as it does after every tick where no piston fired.
+    full. The occupied cells are read from the world's scan, which every
+    world in `history` carries.
     """
     i = len(history) - 1
     world = history[i]
-    if i == 0 or world.blocks is not history[i - 1].blocks:
-        cells = frozenset(world.blocks)
-    candidates = seen.setdefault((cells, len(world.events), len(world.pulses)), [])
+    candidates = seen.setdefault((world.scan[2], len(world.events), len(world.pulses)), [])
     for j in candidates:
         if _repeats(history[j], world):
-            return (j, i - j), cells
+            return j, i - j
     candidates.append(i)
-    return None, cells
+    return None
 
 
 def run_until(
@@ -350,22 +339,24 @@ def run_until(
     poll, and the returned world, is the stored world of the same phase moved
     forward by whole periods, exactly what stepping would have produced. The
     caller's world is copied once on entry, so it is never modified and no
-    world handed out shares its blocks.
+    world handed out shares its blocks, events or pulses; the copy is given
+    the scan that the first step reads and `_find_cycle` keys it by.
     """
     if seconds < 1:
         raise ValueError("seconds must be >= 1")
     world = world.copy()
+    world.scan = _scan(world.blocks)
     if not observer(world, 0):
         return world
     history = [world]  # history[k]: the world after k steps
     seen: dict[tuple, list[int]] = {}
-    cycle, cells = _find_cycle(history, seen, None)
+    cycle = _find_cycle(history, seen)
     for second in range(1, seconds + 1):
         tick = second * cfg.ticks_per_second
         while cycle is None and len(history) <= tick:
             world, _moved = step(world, cfg)
             history.append(world)
-            cycle, cells = _find_cycle(history, seen, cells)
+            cycle = _find_cycle(history, seen)
         if cycle is not None:
             j, period = cycle
             laps, phase = divmod(tick - j, period)

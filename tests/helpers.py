@@ -96,6 +96,17 @@ def translated(world: WorldState, offset) -> WorldState:
     )
 
 
+def absolute_times(world: WorldState) -> tuple[list[TickEvent], list[Pulse]]:
+    """The world's events and pulses with its tick added back: each event's
+    due tick and each pulse's window as absolute ticks, the form
+    `reference_step` and `reference_power` read and write."""
+    t = world.tick
+    return (
+        [e._replace(due=e.due + t) for e in world.events],
+        [p._replace(start=p.start + t, end=p.end + t) for p in world.pulses],
+    )
+
+
 def settled(world: WorldState) -> bool:
     """True when no later `step` can change anything but the tick: no event
     is pending, no pulse is scheduled or active, and one step moves no block

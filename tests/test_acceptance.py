@@ -41,7 +41,7 @@ from voxelflight import (
 from voxelflight.campaign import save_archive, ExperimentConfig, Method
 from voxelflight.search import Archive
 
-from helpers import record_accepted_inserts
+from helpers import absolute_times, record_accepted_inserts
 
 DEC_OBS = DecodeConfig(block_set=BlockSet.OBSERVER)
 TICK = TickConfig()
@@ -211,7 +211,7 @@ class TestCriterion5SimulatorFixtures:
         ], (0, 0, 0))
         for _ in range(3):
             w, _ = step(w, TICK)
-        pulse_ok = list(w.pulses) == [((2, 0, 2), 4, 6)]
+        pulse_ok = absolute_times(w)[1] == [((2, 0, 2), 4, 6)]
         for _ in range(4):
             w, _ = step(w, TICK)
         extended_ok = w.blocks[(2, 0, 2)].extended

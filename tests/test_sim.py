@@ -32,7 +32,7 @@ from voxelflight import (
 from voxelflight.blocks import Pulse, TickEvent
 from voxelflight.sim import _find_cycle, _moved_forward, _repeats, _scan
 
-from helpers import reference_power, reference_run_until, reference_step, settled, translated
+from helpers import absolute_times, reference_power, reference_run_until, reference_step, settled, translated
 
 K = BlockKind
 O = Orientation
@@ -295,7 +295,7 @@ class TestObserverFixture:
 
     def test_pulse_chain(self):
         w = run_ticks(self.world, 3)
-        assert w.pulses == [((2, 0, 2), 4, 6)]
+        assert absolute_times(w)[1] == [((2, 0, 2), 4, 6)]
         assert not w.blocks[(2, 0, 2)].extended
         w = run_ticks(w, 4)  # tick 7: the pulsed piston has extended
         assert w.blocks[(2, 0, 2)].extended
@@ -442,7 +442,7 @@ def unsettled_after_pulse():
     events, no pulses, but unpowered, so it retracts."""
     w = make_world({(0, 0, 0): (K.PISTON, O.EAST, True), (1, 0, 0): (K.PISTON_HEAD_NORMAL, O.EAST)})
     w.tick = 5
-    w.pulses = [Pulse((0, 0, 0), 3, 6)]
+    w.pulses = [Pulse((0, 0, 0), -2, 1)]  # ticks 3 to 6, counted from tick 5
     w, _ = step(w, CFG)
     return w
 
@@ -534,13 +534,9 @@ class TestPurity:
 
 
 def relative_state(world):
-    """The world's state relative to its tick."""
-    t = world.tick
-    return (
-        frozenset(world.blocks.items()),
-        tuple((e.due - t, e.action, e.pos, e.orient) for e in world.events),
-        tuple((p.cell, p.start - t, p.end - t) for p in world.pulses),
-    )
+    """The world's state relative to its tick: its blocks, and its events
+    and pulses, whose times count from the tick."""
+    return frozenset(world.blocks.items()), tuple(world.events), tuple(world.pulses)
 
 
 def first_repeat(world, cfg, ticks=200):
@@ -697,9 +693,9 @@ def repeat_base():
         (1, 0, 0): (K.PISTON_HEAD_NORMAL, O.EAST),
         (0, 0, 2): (K.STICKY_PISTON, O.UP),
     })
-    w.tick = 10
-    w.events = [TickEvent(11, "retract", (0, 0, 0), O.EAST), TickEvent(12, "extend", (0, 0, 2), O.UP)]
-    w.pulses = [Pulse((0, 0, 2), 9, 11)]
+    w.tick = 10  # due at ticks 11 and 12; a pulse from tick 9 to 11
+    w.events = [TickEvent(1, "retract", (0, 0, 0), O.EAST), TickEvent(2, "extend", (0, 0, 2), O.UP)]
+    w.pulses = [Pulse((0, 0, 2), -1, 1)]
     return w
 
 
@@ -752,9 +748,9 @@ def near_misses(world):
 
 
 class TestRepeatCheck:
-    """`_repeats` confirms cycles without building the moved world; it must
-    agree with `_moved_forward` followed by `==` on every pair of worlds, or
-    `run_until` could jump over a false cycle."""
+    """`_repeats` confirms cycles by comparing the two worlds' events, pulses
+    and blocks; it must agree with `_moved_forward` followed by `==` on every
+    pair of worlds, or `run_until` could jump over a false cycle."""
 
     def test_agrees_with_projection_on_stepped_histories(self, pf_harvest):
         repeated = with_events = with_pulses = 0
@@ -783,14 +779,19 @@ class TestRepeatCheck:
             assert not _repeats(earlier, miss), name
             assert not _repeats(miss, earlier), name
 
-    def test_equal_times_are_not_equal_relative_times(self):
-        # The same absolute event and pulse times one tick later are a
-        # different state relative to the tick.
+    def test_same_content_one_tick_later_repeats(self):
+        # Times count from the tick, so the same events and pulses one tick
+        # later are the same state, every absolute time one tick later.
         earlier = repeat_base()
         later = earlier.copy()
         later.tick += 1
-        assert not repeats_by_projection(earlier, later)
-        assert not _repeats(earlier, later)
+        events, pulses = absolute_times(earlier)
+        assert absolute_times(later) == (
+            [e._replace(due=e.due + 1) for e in events],
+            [p._replace(start=p.start + 1, end=p.end + 1) for p in pulses],
+        )
+        assert repeats_by_projection(earlier, later)
+        assert _repeats(earlier, later)
 
 
 class TestComputePower:
@@ -810,16 +811,19 @@ class TestComputePower:
         cells = [(0, 0, 0), (0, 0, 2), (0, 0, 4), (0, 0, 6)]
         w = make_world({cell: (K.PISTON, O.UP) for cell in cells})
         w.tick = 10
-        w.pulses = [
-            Pulse(cells[0], 10, 12),  # starts now: powered
-            Pulse(cells[1], 8, 10),  # ended now: not powered
-            Pulse(cells[2], 9, 11),  # ends next tick: powered
-            Pulse(cells[3], 11, 13),  # starts next tick: not powered
+        w.pulses = [  # windows counted from tick 10
+            Pulse(cells[0], 0, 2),  # ticks 10 to 12, starts now: powered
+            Pulse(cells[1], -2, 0),  # ticks 8 to 10, ended now: not powered
+            Pulse(cells[2], -1, 1),  # ticks 9 to 11, ends next tick: powered
+            Pulse(cells[3], 1, 3),  # ticks 11 to 13, starts next tick: not powered
         ]
         after, moved = step(w, CFG)
         assert not moved
         assert [(e.action, e.pos) for e in after.events] == [("extend", cells[0]), ("extend", cells[2])]
-        assert after == reference_step(w, CFG)[0]
+        expected = reference_step(WorldState(w.blocks, w.tick, *absolute_times(w)), CFG)[0]
+        assert (after.blocks, after.tick, *absolute_times(after)) == (
+            expected.blocks, expected.tick, expected.events, expected.pulses
+        )
 
 
 class TestAliasing:
@@ -885,21 +889,22 @@ class TestReferenceStep:
     at the end of a tick that moved blocks, copies the blocks only when a
     piston fires and takes the due events as a prefix of the event list; at
     every tick it must give the world and the moved set of `reference_step`,
-    which does none of that, and every world it returns must carry the scan
-    a fresh rebuild from its blocks gives. With `drop_scan`, every step gets
+    which does none of that and holds absolute times (compared through
+    `absolute_times`), and every world it returns must carry the scan a
+    fresh rebuild from its blocks gives. With `drop_scan`, every step gets
     a `copy()` of the world, which carries no scan, so the scan is also
     built at the start of every tick."""
 
     def assert_matches(self, worlds, ticks, drop_scan):
         carried = rebuilt = 0
         for world, cfg in worlds:
-            fast = slow = world
+            fast, slow = world, WorldState(world.blocks, world.tick, *absolute_times(world))
             for _ in range(ticks):
                 before = fast.copy() if drop_scan else fast
                 fast, moved = step(before, cfg)
                 slow, expected = reference_step(slow, cfg)
                 assert moved == expected
-                assert fast == slow  # blocks, tick, events, pulses
+                assert (fast.blocks, fast.tick, *absolute_times(fast)) == (slow.blocks, slow.tick, slow.events, slow.pulses)
                 assert fast.scan == _scan(fast.blocks)
                 assert (fast.blocks is before.blocks) == (not moved)
                 carried += not moved
@@ -972,7 +977,7 @@ class TestCarriedScan:
 
     def test_blocked_powered_piston_leaves_input_unchanged(self):
         w = run_ticks(blocked_powered_piston(), 5)
-        assert w.events[0].due == w.tick  # an extension due now, but over the push limit
+        assert w.events[0].due == 0  # an extension due now, but over the push limit
         before = copy.deepcopy(w)
         out, moved = step(w, CFG)
         assert moved == set() and out.scan is not None
@@ -985,7 +990,7 @@ class TestCopyRule:
     no event due, it shares its input's blocks and hands its scan on."""
 
     def assert_shares_and_carries(self, w):
-        assert any(e.due == w.tick for e in w.events)  # an event is due this tick
+        assert any(e.due == 0 for e in w.events)  # an event is due this tick
         before = copy.deepcopy(w)
         out, moved = step(w, CFG)
         assert moved == set()
@@ -998,7 +1003,7 @@ class TestCopyRule:
         fixture = TestExtensionFixture()
         fixture.setup_method()
         w = run_ticks(fixture.world, 3)
-        assert w.blocks[(1, 0, 0)].extended and [e.action for e in w.events if e.due == w.tick] == ["extend"]
+        assert w.blocks[(1, 0, 0)].extended and [e.action for e in w.events if e.due == 0] == ["extend"]
         self.assert_shares_and_carries(w)
 
     def test_blocked_powered_piston_shares_blocks(self):
@@ -1008,7 +1013,7 @@ class TestCopyRule:
         copied = stale = 0
         for world, cfg in pf_harvest:
             for _ in range(200):
-                due = any(e.due == world.tick for e in world.events)
+                due = any(e.due == 0 for e in world.events)
                 after, moved = step(world, cfg)
                 assert (after.blocks is not world.blocks) == bool(moved)
                 copied += bool(moved)
@@ -1019,19 +1024,62 @@ class TestCopyRule:
         assert copied > 0 and stale > 0
 
 
-class TestCycleKey:
-    """`_find_cycle` reuses the previous world's occupied cells when the newest
-    world shares its block dict; the cells it keys by must always be the
-    newest world's."""
+def with_scan(world):
+    """A copy of `world` carrying its scan, as `run_until` makes on entry."""
+    w = world.copy()
+    w.scan = _scan(w.blocks)
+    return w
 
-    def test_cells_are_the_newest_worlds(self, pf_harvest, reference_flyer):
-        histories = [stepped_history(world, cfg, 40) for world, cfg in pf_harvest]
-        histories += [stepped_history(world, CFG, 40) for world in sim_fixtures(reference_flyer)]
-        reused = 0
+
+class TestCycleKey:
+    """`_find_cycle` files each stepped world under the occupied cells of
+    its own scan, which a world carries on from its input after a tick
+    where nothing moved; every index in `seen` must be filed under its own
+    world's cells and queue lengths."""
+
+    def test_each_index_is_filed_under_its_own_worlds_cells(self, pf_harvest, reference_flyer):
+        histories = [stepped_history(with_scan(world), cfg, 40) for world, cfg in pf_harvest]
+        histories += [stepped_history(with_scan(world), CFG, 40) for world in sim_fixtures(reference_flyer)]
+        shared = changed = 0
         for history in histories:
-            seen, cells = {}, None
+            seen = {}
             for i in range(len(history)):
-                _cycle, cells = _find_cycle(history[: i + 1], seen, cells)
-                assert cells == frozenset(history[i].blocks)
-                reused += i > 0 and history[i].blocks is history[i - 1].blocks
-        assert reused > 0
+                _find_cycle(history[: i + 1], seen)
+            for (cells, n_events, n_pulses), indices in seen.items():
+                for j in indices:
+                    world = history[j]
+                    assert (cells, n_events, n_pulses) == (frozenset(world.blocks), len(world.events), len(world.pulses))
+                    if j > 0:
+                        shared += world.blocks is history[j - 1].blocks
+                        changed += world.blocks is not history[j - 1].blocks
+        # Guards against a vacuous pass: filed worlds that share their
+        # predecessor's blocks and scan, and filed worlds whose blocks moved.
+        assert shared > 0 and changed > 0
+
+
+class TestTickIndependence:
+    """The simulator never reads the clock: a world moved 10**6 ticks
+    forward steps exactly like the world itself, and `run_until` polls it
+    the same, only 10**6 ticks later."""
+
+    def test_stepping_commutes_with_moving_forward(self, pf_harvest, reference_flyer):
+        offset = 10**6
+        worlds = pf_harvest + random_observer_worlds(200, seed=18) + [(w, CFG) for w in sim_fixtures(reference_flyer)]
+        with_events = with_pulses = 0
+        for world, cfg in worlds:
+            near, far = world, _moved_forward(world, offset)
+            for _ in range(200):
+                near, near_moved = step(near, cfg)
+                far, far_moved = step(far, cfg)
+                assert far_moved == near_moved
+                assert (far.blocks, far.events, far.pulses) == (near.blocks, near.events, near.pulses)
+                assert far.tick - near.tick == offset
+                with_events += bool(near.events)
+                with_pulses += bool(near.pulses)
+            near_polls, _ = whole_polls_of(run_until, world, cfg, 10)
+            far_polls, _ = whole_polls_of(run_until, _moved_forward(world, offset), cfg, 10)
+            assert [(second, w.tick + offset, w.blocks, w.events, w.pulses) for second, w in near_polls] == [
+                (second, w.tick, w.blocks, w.events, w.pulses) for second, w in far_polls
+            ]
+        # Guards against a vacuous pass: ticks with pending events and with pulses.
+        assert with_events > 0 and with_pulses > 0
