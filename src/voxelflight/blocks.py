@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, NamedTuple, Optional
+from typing import ClassVar, Iterable, NamedTuple, Optional
 
 Vec3 = tuple[int, int, int]
 
@@ -115,21 +115,10 @@ class Block(NamedTuple):
     extended: bool = False
 
 
-class Pulse(NamedTuple):
-    """A scheduled observer power pulse: powers `cell` while
-    `start <= 0 < end`, both counted in ticks from its world's tick."""
-
-    cell: Vec3
-    start: int
-    end: int
-
-
 class TickEvent(NamedTuple):
-    """A pending piston action, due `due` ticks after its world's tick (it
-    fires when `due` is 0 or less). A world's event list is in scheduling
-    order, and events due on the same tick fire in that order."""
+    """A pending piston action. The tick it fires on is the index of its
+    batch in its world's `events` (see `WorldState`)."""
 
-    due: int
     action: str  # "extend" | "retract"
     pos: Vec3
     orient: Orientation
@@ -182,32 +171,56 @@ class Box:
         return tuple(self.min[i] + (self.dims[i] - 1) / 2.0 for i in range(3))
 
 
+@dataclass(frozen=True)
+class TickConfig:
+    """Simulator settings: the game's timing rules are pinned constants;
+    only the observer placement quirk is chosen per run."""
+
+    ticks_per_second: ClassVar[int] = 20
+    piston_delay: ClassVar[int] = 2  # extension and retraction alike
+    observer_pulse_delay: ClassVar[int] = 2
+    observer_pulse_length: ClassVar[int] = 2
+    push_limit: ClassVar[int] = 12
+
+    emulate_observer_bug: bool = True
+
+
 @dataclass
 class WorldState:
-    """Sparse voxel world plus pending tick events and observer pulses.
+    """Sparse voxel world plus its pending piston events and observer pulses.
 
-    Event and pulse times are counted from `tick` (see `TickEvent` and
-    `Pulse`), so two worlds in the same state at different ticks hold equal
-    event and pulse lists, and moving a world in time changes `tick` alone.
+    Both are fixed-slot queues, tuples of batches with one batch per tick,
+    so their times count from `tick` without being stored. `events` holds
+    `TickConfig.piston_delay` batches of `TickEvent`s, batch k firing k ticks
+    from now (batch 0 this tick), each in scheduling order. `pulses` holds
+    `observer_pulse_delay + observer_pulse_length - 1` batches of the output
+    cells of observer pulses, oldest first; the oldest
+    `observer_pulse_length` batches power their cells this tick. `sim.step`
+    shifts each queue by one slot, so two worlds in the same state at
+    different ticks hold equal queues, and moving a world in time changes
+    `tick` alone. A fresh world's queues are the empty ones a quiet tick
+    hands on.
+
     A WorldState is a value: operations take a world and return a new one,
     which may share the input's block dict (`sim.step` copies it only when a
-    piston fires) and, moved forward in time, its event and pulse lists too.
-    So never change a world's blocks, events or pulses in place: change a
-    `copy()`. The fitness poll relies on this: it scans each block dict it is
-    handed once per evaluation, and reuses that scan when a later world
-    shares the dict. `scan` is what the simulator reads of the blocks each
-    tick (see `sim._scan`), handed on by `sim.step` with every world it
-    returns; `==`, `repr` and `copy()` ignore it.
+    piston fires) and the batches of its queues, which are tuples. So never
+    change a world's blocks in place: change a `copy()`. The fitness poll
+    relies on this: it scans each block dict it is handed once per
+    evaluation, and reuses that scan when a later world shares the dict.
+    `scan` is what the simulator reads of the blocks each tick (see
+    `sim._scan`), handed on by `sim.step` with every world it returns; `==`,
+    `repr` and `copy()` ignore it.
     """
 
     blocks: dict[Vec3, Block] = field(default_factory=dict)
     tick: int = 0
-    events: list[TickEvent] = field(default_factory=list)
-    pulses: list[Pulse] = field(default_factory=list)
+    events: tuple[tuple[TickEvent, ...], ...] = ((),) * TickConfig.piston_delay
+    pulses: tuple[tuple[Vec3, ...], ...] = ((),) * (TickConfig.observer_pulse_delay + TickConfig.observer_pulse_length - 1)
     scan: Optional[tuple[list, list, frozenset]] = field(default=None, compare=False, repr=False)
 
     def copy(self) -> "WorldState":
-        return WorldState(dict(self.blocks), self.tick, list(self.events), list(self.pulses))
+        """The same world with its own block dict; the queues are immutable and shared."""
+        return WorldState(dict(self.blocks), self.tick, self.events, self.pulses)
 
 
 SPAWN_BOX_SIZE = 3

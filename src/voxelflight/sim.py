@@ -27,20 +27,22 @@ reproducible bit-for-bit:
   `TickConfig.observer_pulse_delay` ticks later, for
   `TickConfig.observer_pulse_length` ticks. A cell "changed" when a block
   left it or arrived in it, including the observer's own displacement.
+
+Every event fires exactly one piston delay after it is scheduled and every
+pulse lives a fixed window, so a world holds both in fixed-slot queues (a
+timing wheel), one batch per tick (see `WorldState`), and `step` shifts each
+queue by one slot per tick instead of touching every pending entry.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import dataclass
-from operator import itemgetter
-from typing import Callable, ClassVar, Optional
+from typing import Callable, Optional
 
 from .blocks import (
     Block,
     BlockKind,
     Orientation,
-    Pulse,
+    TickConfig,
     TickEvent,
     Vec3,
     WorldState,
@@ -57,21 +59,6 @@ _HEAD_STICKY = BlockKind.PISTON_HEAD_STICKY
 _REDSTONE = BlockKind.REDSTONE_BLOCK
 _SLIME = BlockKind.SLIME_BLOCK
 _OBSERVER = BlockKind.OBSERVER
-_DUE = itemgetter(0)  # an event's ticks until due
-
-
-@dataclass(frozen=True)
-class TickConfig:
-    """Simulator settings: the game's timing rules are pinned constants;
-    only the observer placement quirk is chosen per run."""
-
-    ticks_per_second: ClassVar[int] = 20
-    piston_delay: ClassVar[int] = 2  # extension and retraction alike
-    observer_pulse_delay: ClassVar[int] = 2
-    observer_pulse_length: ClassVar[int] = 2
-    push_limit: ClassVar[int] = 12
-
-    emulate_observer_bug: bool = True
 
 
 def compute_power(blocks: dict[Vec3, Block]) -> set[Vec3]:
@@ -211,17 +198,19 @@ def _scan(blocks: dict[Vec3, Block]) -> tuple[list, list, frozenset[Vec3]]:
 def step(world: WorldState, cfg: TickConfig) -> tuple[WorldState, set[Vec3]]:
     """Advance exactly one tick; returns the new world and the changed cells.
 
-    Event and pulse times count from the tick (see `WorldState`): events
-    with `due <= 0` fire, pulses with `start <= 0 < end` power their cells,
-    and the new world holds each pending event and pulse one tick closer.
-    The block dict is copied just before a piston's first write, so after a
-    tick where nothing fired (no event due, or every due one stale or
-    blocked) the new world shares its input's blocks: change neither in
-    place, only a `copy()`. Every world `step` returns carries the scan of
-    its blocks (`_scan`): the input's when nothing moved (every fired event
-    moves a piston head), otherwise one rebuilt once at the end of the tick,
-    whose observers are the ones checked for changed cells. A scan is built
-    at the start only for an input that carries none, such as a `copy()`.
+    The queues are fixed-slot (see `WorldState`): the events of batch 0
+    fire, the cells of the oldest `observer_pulse_length` pulse batches are
+    powered, and the new world holds each queue shifted by one slot, with
+    this tick's scheduled events and observer outputs as the newest
+    batches, so no carried batch is rebuilt. The block dict is copied just
+    before a piston's first write, so after a tick where nothing fired (no
+    event due, or every due one stale or blocked) the new world shares its
+    input's blocks: change neither in place, only a `copy()`. Every world
+    `step` returns carries the scan of its blocks (`_scan`): the input's
+    when nothing moved (every fired event moves a piston head), otherwise
+    one rebuilt once at the end of the tick, whose observers are the ones
+    checked for changed cells. A scan is built at the start only for an
+    input that carries none, such as a `copy()`.
     """
     blocks = world.blocks
     moved: set[Vec3] = set()
@@ -229,24 +218,18 @@ def step(world: WorldState, cfg: TickConfig) -> tuple[WorldState, set[Vec3]]:
     if scan is None:
         scan = _scan(blocks)
     pulses = world.pulses
-    if pulses:
-        pulsed = {cell for cell, start, end in pulses if start <= 0 < end}
-        pulses = [_new(Pulse, (cell, start - 1, end - 1)) for cell, start, end in pulses if end > 1]
-    else:
-        pulsed, pulses = (), []
+    active = pulses[: cfg.observer_pulse_length]
+    pulsed = {cell for batch in active for cell in batch} if any(active) else ()
 
-    # Every event is due one piston delay after it was scheduled, so the
-    # event list is in order of due tick and the due events are a prefix.
     # Pistons whose extension state differs from their power (redstone or
     # an active pulse) schedule a toggle, in sorted position order.
-    split = bisect_right(world.events, 0, key=_DUE)
-    events = [_new(TickEvent, (due - 1, action, pos, orient)) for due, action, pos, orient in world.events[split:]]
-    due = cfg.piston_delay - 1
+    scheduled = []
     for pos, extended, powered, orient in scan[0]:
         if extended != (powered or pos in pulsed):
-            events.append(_new(TickEvent, (due, "retract" if extended else "extend", pos, orient)))
-    w = WorldState(blocks, world.tick + 1, events, pulses, scan)
-    for _due, action, pos, orient in world.events[:split]:
+            scheduled.append(_new(TickEvent, ("retract" if extended else "extend", pos, orient)))
+    events = world.events
+    w = WorldState(blocks, world.tick + 1, events[1:] + (tuple(scheduled),), pulses, scan)  # pulses shifted at the end
+    for action, pos, orient in events[0]:
         block = blocks.get(pos)
         if block is None or not (block.kind is _PISTON or block.kind is _STICKY_PISTON) or block.orient is not orient:
             continue
@@ -276,28 +259,25 @@ def step(world: WorldState, cfg: TickConfig) -> tuple[WorldState, set[Vec3]]:
                 if pull:
                     _translate_blocks(blocks, pull, (-dx, -dy, -dz), moved)
 
+    outputs = ()
     if moved:
         w.scan = scan = _scan(blocks)
         # An observer senses the cell it faces and powers the cell behind it.
-        start = cfg.observer_pulse_delay - 1
-        end = start + cfg.observer_pulse_length
-        for _pos, sensed, output in scan[1]:
-            if sensed in moved:
-                w.pulses.append(_new(Pulse, (output, start, end)))
+        outputs = tuple([output for _pos, sensed, output in scan[1] if sensed in moved])
+    w.pulses = pulses[1:] + (outputs,)
     return w, moved
 
 
 def _moved_forward(world: WorldState, ticks: int) -> WorldState:
-    """`world` `ticks` later, sharing its blocks, events and pulses: their
-    times count from the tick, and `step` reads the tick only to add one to
-    it, so stepping commutes with this."""
+    """`world` `ticks` later, sharing its blocks and queues: a queue's slots
+    count ticks from the world's tick, and `step` reads the tick only to add
+    one to it, so stepping commutes with this."""
     return WorldState(world.blocks, world.tick + ticks, world.events, world.pulses)
 
 
 def _repeats(earlier: WorldState, later: WorldState) -> bool:
     """Whether `later` is `earlier` moved forward to its tick: the same
-    events and pulses (both relative to the tick), then the same blocks, the
-    costliest part, last."""
+    queues, batch by batch, then the same blocks, the costliest part, last."""
     return earlier.events == later.events and earlier.pulses == later.pulses and earlier.blocks == later.blocks
 
 
@@ -309,13 +289,13 @@ def _find_cycle(history: list[WorldState], seen: dict[tuple, list[int]]) -> Opti
     laps*period ticks. The newest world closes a cycle when it repeats an
     earlier one (see `_repeats`); a settled world is a cycle of period 1,
     found one step after it settles. Candidates are keyed by occupied cells
-    and queue lengths, which hash only int tuples; a hit is then compared in
-    full. The occupied cells are read from the world's scan, which every
-    world in `history` carries.
+    and the length of every batch of both queues, which hash only int
+    tuples and ints; a hit is then compared in full. The occupied cells are read from the
+    world's scan, which every world in `history` carries.
     """
     i = len(history) - 1
     world = history[i]
-    candidates = seen.setdefault((world.scan[2], len(world.events), len(world.pulses)), [])
+    candidates = seen.setdefault((world.scan[2], *map(len, world.events + world.pulses)), [])
     for j in candidates:
         if _repeats(history[j], world):
             return j, i - j
@@ -339,8 +319,9 @@ def run_until(
     poll, and the returned world, is the stored world of the same phase moved
     forward by whole periods, exactly what stepping would have produced. The
     caller's world is copied once on entry, so it is never modified and no
-    world handed out shares its blocks, events or pulses; the copy is given
-    the scan that the first step reads and `_find_cycle` keys it by.
+    world handed out shares its blocks (the queues' batches are tuples,
+    which nobody can change); the copy is given the scan that the first
+    step reads and `_find_cycle` keys it by.
     """
     if seconds < 1:
         raise ValueError("seconds must be >= 1")

@@ -1,7 +1,10 @@
+from typing import NamedTuple
+
 import numpy as np
 
-from voxelflight import Archive, BlockPlacement, DecodeConfig, TickConfig, WorldState, step
-from voxelflight.blocks import ORIENTATION_ORDER, Block, BlockKind, Pulse, TickEvent, Vec3, _new, neighbors6
+from voxelflight import Archive, BlockPlacement, DecodeConfig, Orientation, TickConfig, WorldState, step
+from voxelflight.blocks import ORIENTATION_ORDER, Block, BlockKind, Vec3, _new, neighbors6
+from voxelflight.blocks import TickEvent as QueuedEvent  # the program's event, without a due tick
 from voxelflight.genome import PRESENCE_THRESHOLD
 
 _PISTON = BlockKind.PISTON
@@ -91,30 +94,88 @@ def translated(world: WorldState, offset) -> WorldState:
     return WorldState(
         {add(p, offset): b for p, b in world.blocks.items()},
         world.tick,
-        [e._replace(pos=add(e.pos, offset)) for e in world.events],
-        [p._replace(cell=add(p.cell, offset)) for p in world.pulses],
+        tuple(tuple(e._replace(pos=add(e.pos, offset)) for e in batch) for batch in world.events),
+        tuple(tuple(add(cell, offset) for cell in batch) for batch in world.pulses),
     )
+
+
+class TickEvent(NamedTuple):
+    """A pending piston action in absolute time, as `reference_step` holds
+    it: it fires on the step from tick `due`."""
+
+    due: int
+    action: str  # "extend" | "retract"
+    pos: Vec3
+    orient: Orientation
+
+
+class Pulse(NamedTuple):
+    """An observer pulse in absolute time, as `reference_step` and
+    `reference_power` hold it: it powers `cell` while `start <= tick < end`."""
+
+    cell: Vec3
+    start: int
+    end: int
+
+
+class AbsoluteWorld(WorldState):
+    """A world as `reference_step` holds it: `events` a list of `TickEvent`s
+    and `pulses` a list of `Pulse`s, both in absolute ticks and in scheduling
+    order, where the program holds fixed-slot queues."""
+
+    def copy(self) -> "AbsoluteWorld":
+        return AbsoluteWorld(dict(self.blocks), self.tick, list(self.events), list(self.pulses))
 
 
 def absolute_times(world: WorldState) -> tuple[list[TickEvent], list[Pulse]]:
-    """The world's events and pulses with its tick added back: each event's
-    due tick and each pulse's window as absolute ticks, the form
-    `reference_step` and `reference_power` read and write."""
+    """The world's queues read back as absolute times: each event with the
+    tick it fires on, each pulse with its window, in scheduling order. An
+    event in batch k fires k ticks after the world's tick; a pulse cell in
+    batch k powers through the step from tick + k and began one pulse length
+    before that ended."""
     t = world.tick
+    length = TickConfig.observer_pulse_length
     return (
-        [e._replace(due=e.due + t) for e in world.events],
-        [p._replace(start=p.start + t, end=p.end + t) for p in world.pulses],
+        [TickEvent(t + k, *event) for k, batch in enumerate(world.events) for event in batch],
+        [Pulse(cell, t + k + 1 - length, t + k + 1) for k, batch in enumerate(world.pulses) for cell in batch],
     )
+
+
+def with_absolute_times(world: WorldState, events=(), pulses=()) -> WorldState:
+    """`world` (its blocks, shared, and tick) holding the given absolute-time
+    events and pulses in its queues, each batch in the order given: the
+    converse of `absolute_times`, for hand-built worlds. Raises ValueError
+    for what the queues cannot hold: an event not due within the next piston
+    delay, or a pulse that has ended, starts too late, or does not last one
+    pulse length."""
+    t = world.tick
+    length = TickConfig.observer_pulse_length
+    event_batches = tuple([] for _ in world.events)
+    pulse_batches = tuple([] for _ in world.pulses)
+    for due, action, pos, orient in events:
+        if not 0 <= due - t < len(event_batches):
+            raise ValueError(f"an event due at tick {due} does not fit the queue at tick {t}")
+        event_batches[due - t].append(QueuedEvent(action, pos, orient))
+    for cell, start, end in pulses:
+        if end - start != length or not 0 <= end - t - 1 < len(pulse_batches):
+            raise ValueError(f"a pulse from tick {start} to {end} does not fit the queue at tick {t}")
+        pulse_batches[end - t - 1].append(cell)
+    return WorldState(world.blocks, t, tuple(map(tuple, event_batches)), tuple(map(tuple, pulse_batches)))
+
+
+def absolute_world(world: WorldState) -> AbsoluteWorld:
+    """`world` as `reference_step` holds it, sharing its blocks."""
+    return AbsoluteWorld(world.blocks, world.tick, *absolute_times(world))
 
 
 def settled(world: WorldState) -> bool:
     """True when no later `step` can change anything but the tick: no event
     is pending, no pulse is scheduled or active, and one step moves no block
     and schedules nothing."""
-    if world.events or world.pulses:
+    if any(world.events) or any(world.pulses):
         return False
     after, moved = step(world, TickConfig())
-    return not moved and after.blocks == world.blocks and not after.events and not after.pulses
+    return not moved and after.blocks == world.blocks and not any(after.events) and not any(after.pulses)
 
 
 def reference_run_until(world, cfg, seconds, observer):

@@ -28,7 +28,7 @@ from voxelflight import (
 )
 from voxelflight.blocks import SPAWN_BOX_SIZE
 
-from helpers import add, translated
+from helpers import absolute_times, add, translated
 
 Q = BlockKind.QUARTZ_BLOCK
 N = Orientation.NORTH
@@ -148,7 +148,7 @@ class TestPlacementTable:
                 expected = [(add(self.ORIGIN, p.pos), Block(p.kind, p.orient, False)) for p in placed]
                 assert list(world.blocks.items()) == expected
                 assert all(type(b) is Block for b in world.blocks.values())
-                assert world.tick == 0 and world.events == [] and world.pulses == []
+                assert world.tick == 0 and absolute_times(world) == ([], [])
             rewritten += fixed != shape
         assert rewritten > 0  # some shapes hold an Up or Down observer
 

@@ -29,10 +29,20 @@ from voxelflight import (
     run_until,
     step,
 )
-from voxelflight.blocks import Pulse, TickEvent
 from voxelflight.sim import _find_cycle, _moved_forward, _repeats, _scan
 
-from helpers import absolute_times, reference_power, reference_run_until, reference_step, settled, translated
+from helpers import (
+    Pulse,
+    TickEvent,
+    absolute_times,
+    absolute_world,
+    reference_power,
+    reference_run_until,
+    reference_step,
+    settled,
+    translated,
+    with_absolute_times,
+)
 
 K = BlockKind
 O = Orientation
@@ -442,7 +452,7 @@ def unsettled_after_pulse():
     events, no pulses, but unpowered, so it retracts."""
     w = make_world({(0, 0, 0): (K.PISTON, O.EAST, True), (1, 0, 0): (K.PISTON_HEAD_NORMAL, O.EAST)})
     w.tick = 5
-    w.pulses = [Pulse((0, 0, 0), -2, 1)]  # ticks 3 to 6, counted from tick 5
+    w = with_absolute_times(w, pulses=[Pulse((0, 0, 0), 4, 6)])  # active now, ended at tick 6
     w, _ = step(w, CFG)
     return w
 
@@ -492,7 +502,7 @@ class TestFixedPointSoundness:
 
     def test_extended_piston_after_pulse_is_not_fixed(self):
         w = unsettled_after_pulse()
-        assert (w.tick, w.events, w.pulses) == (6, [], [])
+        assert (w.tick, *absolute_times(w)) == (6, [], [])
         assert w.blocks[(0, 0, 0)].extended
         assert not settled(w)
         w = run_ticks(w, 3)
@@ -534,9 +544,9 @@ class TestPurity:
 
 
 def relative_state(world):
-    """The world's state relative to its tick: its blocks, and its events
-    and pulses, whose times count from the tick."""
-    return frozenset(world.blocks.items()), tuple(world.events), tuple(world.pulses)
+    """The world's state relative to its tick: its blocks and its queues,
+    whose slots count ticks from the tick."""
+    return frozenset(world.blocks.items()), world.events, world.pulses
 
 
 def first_repeat(world, cfg, ticks=200):
@@ -641,7 +651,7 @@ class TestCycleFastForward:
     def test_fixture_periods(self):
         # Period 1 with pending events: not settled, yet it cycles.
         blocked = run_ticks(blocked_powered_piston(), 5)
-        assert blocked.events and not settled(blocked)
+        assert any(blocked.events) and not settled(blocked)
         assert first_repeat(blocked, CFG) == (0, 1)
         assert first_repeat(shuttle(), CFG) == (2, 6)
         assert first_repeat(run_ticks(shuttle(), 4), CFG) == (0, 6)
@@ -687,16 +697,23 @@ def repeats_by_projection(earlier, later):
 
 
 def repeat_base():
-    """A world with pending events, a pulse and an extended piston."""
+    """A world with pending events (one due now, two next tick), an active
+    pulse and an extended piston."""
     w = make_world({
         (0, 0, 0): (K.PISTON, O.EAST, True),
         (1, 0, 0): (K.PISTON_HEAD_NORMAL, O.EAST),
         (0, 0, 2): (K.STICKY_PISTON, O.UP),
     })
-    w.tick = 10  # due at ticks 11 and 12; a pulse from tick 9 to 11
-    w.events = [TickEvent(1, "retract", (0, 0, 0), O.EAST), TickEvent(2, "extend", (0, 0, 2), O.UP)]
-    w.pulses = [Pulse((0, 0, 2), -1, 1)]
-    return w
+    w.tick = 10
+    return with_absolute_times(
+        w,
+        [
+            TickEvent(10, "retract", (0, 0, 0), O.EAST),
+            TickEvent(11, "extend", (0, 0, 2), O.UP),
+            TickEvent(11, "retract", (0, 0, 0), O.EAST),
+        ],
+        [Pulse((0, 0, 2), 9, 11)],
+    )
 
 
 def observer_clock():
@@ -720,29 +737,30 @@ def observer_clock():
 
 
 def near_misses(world):
-    """Copies of `world` that differ from it in one field of one block, event
-    or pulse, or in the order or length of a queue; each keeps the world's
-    tick."""
+    """Copies of `world` (a `repeat_base` moved in time) that differ from it
+    in one field of one block or event, in the slot of one event or pulse,
+    in a pulse's cell, or in the order or length of a batch; each keeps the
+    world's tick."""
     def changed(**parts):
         w = world.copy()
         for name, value in parts.items():
             setattr(w, name, value)
         return w
 
-    e0, e1 = world.events
-    (pulse,) = world.pulses
+    (e0,), (e1, e2) = world.events
+    (pulse,), (), () = world.pulses
     sticky = world.blocks[(0, 0, 2)]
     return {
-        "event-due-a-tick-later": changed(events=[e0._replace(due=e0.due + 1), e1]),
-        "event-orient": changed(events=[e0, e1._replace(orient=O.DOWN)]),
-        "event-action": changed(events=[e0._replace(action="extend"), e1]),
-        "event-pos": changed(events=[e0, e1._replace(pos=(0, 0, 3))]),
-        "events-reordered": changed(events=[e1, e0]),
-        "event-missing": changed(events=[e0]),
-        "pulse-end-off-by-one": changed(pulses=[pulse._replace(end=pulse.end + 1)]),
-        "pulse-start-off-by-one": changed(pulses=[pulse._replace(start=pulse.start - 1)]),
-        "pulse-cell": changed(pulses=[pulse._replace(cell=(0, 0, 0))]),
-        "pulse-missing": changed(pulses=[]),
+        "event-due-a-tick-later": changed(events=((), (e0, e1, e2))),
+        "event-orient": changed(events=((e0,), (e1._replace(orient=O.DOWN), e2))),
+        "event-action": changed(events=((e0._replace(action="extend"),), (e1, e2))),
+        "event-pos": changed(events=((e0,), (e1._replace(pos=(0, 0, 3)), e2))),
+        "events-reordered": changed(events=((e0,), (e2, e1))),
+        "event-missing": changed(events=((e0,), (e1,))),
+        "pulse-a-tick-later": changed(pulses=((), (pulse,), ())),
+        "pulse-doubled": changed(pulses=((pulse, pulse), (), ())),
+        "pulse-cell": changed(pulses=(((0, 0, 0),), (), ())),
+        "pulse-missing": changed(pulses=((), (), ())),
         "extended-flag": changed(blocks={**world.blocks, (0, 0, 2): sticky._replace(extended=True)}),
     }
 
@@ -764,8 +782,8 @@ class TestRepeatCheck:
                     assert _repeats(a, b) == expected
                     if expected and a is not b:
                         repeated += 1
-                        with_events += bool(a.events)
-                        with_pulses += bool(a.pulses)
+                        with_events += any(a.events)
+                        with_pulses += any(a.pulses)
         # Guards against a vacuous pass: true repeats across different
         # ticks, some of them with pending events and some with pulses.
         assert repeated > 1000 and with_events > 0 and with_pulses > 0
@@ -803,24 +821,27 @@ class TestComputePower:
         for world, cfg in RANDOM_WORLDS:
             for w in stepped_history(world, cfg, 20):
                 powered = compute_power(w.blocks)
-                assert powered == reference_power(WorldState(w.blocks))  # no pulses: redstone only
+                assert powered == reference_power(absolute_world(WorldState(w.blocks)))  # no pulses: redstone only
                 checked += bool(powered)
         assert checked > 0
 
     def test_pulse_window_is_start_inclusive_end_exclusive(self):
-        cells = [(0, 0, 0), (0, 0, 2), (0, 0, 4), (0, 0, 6)]
+        # The queues hold no pulse that has ended (its last slot is dropped
+        # as it ends), so this world holds the three pulses that have not.
+        cells = [(0, 0, 0), (0, 0, 2), (0, 0, 4)]
         w = make_world({cell: (K.PISTON, O.UP) for cell in cells})
         w.tick = 10
-        w.pulses = [  # windows counted from tick 10
-            Pulse(cells[0], 0, 2),  # ticks 10 to 12, starts now: powered
-            Pulse(cells[1], -2, 0),  # ticks 8 to 10, ended now: not powered
-            Pulse(cells[2], -1, 1),  # ticks 9 to 11, ends next tick: powered
-            Pulse(cells[3], 1, 3),  # ticks 11 to 13, starts next tick: not powered
-        ]
+        w = with_absolute_times(w, pulses=[
+            Pulse(cells[1], 9, 11),  # ends next tick: powered
+            Pulse(cells[0], 10, 12),  # starts now: powered
+            Pulse(cells[2], 11, 13),  # starts next tick: not powered
+        ])
         after, moved = step(w, CFG)
         assert not moved
-        assert [(e.action, e.pos) for e in after.events] == [("extend", cells[0]), ("extend", cells[2])]
-        expected = reference_step(WorldState(w.blocks, w.tick, *absolute_times(w)), CFG)[0]
+        assert [(e.action, e.pos) for e in after.events[-1]] == [("extend", cells[0]), ("extend", cells[1])]
+        # The pulse that ends at tick 11 has left the queue at tick 11.
+        assert absolute_times(after)[1] == [Pulse(cells[0], 10, 12), Pulse(cells[2], 11, 13)]
+        expected = reference_step(absolute_world(w), CFG)[0]
         assert (after.blocks, after.tick, *absolute_times(after)) == (
             expected.blocks, expected.tick, expected.events, expected.pulses
         )
@@ -887,9 +908,9 @@ def random_observer_worlds(count, seed):
 class TestReferenceStep:
     """`step` carries its scan across ticks where nothing moved, rebuilds it
     at the end of a tick that moved blocks, copies the blocks only when a
-    piston fires and takes the due events as a prefix of the event list; at
-    every tick it must give the world and the moved set of `reference_step`,
-    which does none of that and holds absolute times (compared through
+    piston fires and shifts its fixed-slot queues; at every tick it must give
+    the world and the moved set of `reference_step`, which does none of that
+    and holds absolute times in flat lists (compared through
     `absolute_times`), and every world it returns must carry the scan a
     fresh rebuild from its blocks gives. With `drop_scan`, every step gets
     a `copy()` of the world, which carries no scan, so the scan is also
@@ -898,7 +919,7 @@ class TestReferenceStep:
     def assert_matches(self, worlds, ticks, drop_scan):
         carried = rebuilt = 0
         for world, cfg in worlds:
-            fast, slow = world, WorldState(world.blocks, world.tick, *absolute_times(world))
+            fast, slow = world, absolute_world(world)
             for _ in range(ticks):
                 before = fast.copy() if drop_scan else fast
                 fast, moved = step(before, cfg)
@@ -926,21 +947,61 @@ class TestReferenceStep:
         self.assert_matches([(world, CFG) for world in sim_fixtures(reference_flyer)], 200, drop_scan)
 
 
-class TestDuePrefix:
-    """`step` takes the due events as a prefix of the event list, which holds
-    only while the list is in order of due tick: every event is due one
-    piston delay after it was scheduled, so every event scheduled later is
-    due later."""
+EVENT_SLOTS = TickConfig.piston_delay
+PULSE_SLOTS = TickConfig.observer_pulse_delay + TickConfig.observer_pulse_length - 1
 
-    def test_events_stay_in_order_of_due_tick(self, pf_harvest, reference_flyer):
+
+class TestQueues:
+    """`step` holds pending events in `piston_delay` batches and observer
+    pulses in `observer_pulse_delay + observer_pulse_length - 1` batches,
+    and shifts each queue by one slot per tick: it hands every carried batch
+    on as it is and changes none of the batches it was handed."""
+
+    def test_every_stepped_world_has_the_fixed_queue_lengths(self, pf_harvest, reference_flyer):
         worlds = pf_harvest + random_observer_worlds(200, seed=18) + [(w, CFG) for w in sim_fixtures(reference_flyer)]
-        checked = 0
+        busy = 0
         for world, cfg in worlds:
             for w in stepped_history(world, cfg, 200):
-                dues = [e.due for e in w.events]
-                assert dues == sorted(dues)
-                checked += len(dues) > 1
-        assert checked > 0
+                assert (len(w.events), len(w.pulses)) == (EVENT_SLOTS, PULSE_SLOTS)
+                assert with_absolute_times(w, *absolute_times(w)) == w
+                busy += any(w.events) and any(w.pulses)
+        # Guards against a vacuous pass: worlds holding events and pulses.
+        assert busy > 0
+
+    def test_fresh_queues_equal_a_quiet_ticks(self):
+        fresh = WorldState()
+        quiet, moved = step(fresh, CFG)
+        assert not moved
+        assert (quiet.events, quiet.pulses) == (fresh.events, fresh.pulses)
+        assert (len(fresh.events), len(fresh.pulses)) == (EVENT_SLOTS, PULSE_SLOTS)
+
+    def test_placed_static_shape_settles_after_one_step(self):
+        shape = [
+            BlockPlacement((0, 0, 0), K.QUARTZ_BLOCK, O.NORTH),
+            BlockPlacement((1, 0, 0), K.REDSTONE_BLOCK, O.NORTH),
+            BlockPlacement((0, 1, 0), K.SLIME_BLOCK, O.UP),
+        ]
+        history = [with_scan(place_shape(WorldState(), shape, (0, 0, 0)))]
+        seen = {}
+        assert _find_cycle(history, seen) is None
+        history.append(step(history[0], CFG)[0])
+        assert _find_cycle(history, seen) == (0, 1)  # the placed world itself repeats
+
+    def test_step_shifts_batches_and_leaves_its_input_as_it_was(self, pf_harvest):
+        shifted = 0
+        for world, cfg in pf_harvest:
+            for _ in range(200):
+                batches = world.events + world.pulses
+                contents = copy.deepcopy(batches)
+                after, _moved = step(world, cfg)
+                assert world.events + world.pulses == contents
+                assert all(a is b for a, b in zip(world.events + world.pulses, batches))
+                carried = after.events[:-1] + after.pulses[:-1]
+                assert all(a is b for a, b in zip(carried, world.events[1:] + world.pulses[1:]))
+                shifted += any(carried)
+                world = after
+        # Guards against a vacuous pass: steps that carried non-empty batches.
+        assert shifted > 0
 
 
 class TestCarriedScan:
@@ -953,7 +1014,7 @@ class TestCarriedScan:
         fixture = TestExtensionFixture()
         fixture.setup_method()
         w, moved = step(fixture.world, CFG)
-        assert not moved and w.events and w.scan is not None
+        assert not moved and any(w.events) and w.scan is not None
         return w
 
     def test_copy_drops_the_scan(self):
@@ -977,7 +1038,7 @@ class TestCarriedScan:
 
     def test_blocked_powered_piston_leaves_input_unchanged(self):
         w = run_ticks(blocked_powered_piston(), 5)
-        assert w.events[0].due == 0  # an extension due now, but over the push limit
+        assert [e.action for e in w.events[0]] == ["extend"]  # due now, but over the push limit
         before = copy.deepcopy(w)
         out, moved = step(w, CFG)
         assert moved == set() and out.scan is not None
@@ -990,7 +1051,7 @@ class TestCopyRule:
     no event due, it shares its input's blocks and hands its scan on."""
 
     def assert_shares_and_carries(self, w):
-        assert any(e.due == 0 for e in w.events)  # an event is due this tick
+        assert w.events[0]  # an event is due this tick
         before = copy.deepcopy(w)
         out, moved = step(w, CFG)
         assert moved == set()
@@ -1003,7 +1064,7 @@ class TestCopyRule:
         fixture = TestExtensionFixture()
         fixture.setup_method()
         w = run_ticks(fixture.world, 3)
-        assert w.blocks[(1, 0, 0)].extended and [e.action for e in w.events if e.due == 0] == ["extend"]
+        assert w.blocks[(1, 0, 0)].extended and [e.action for e in w.events[0]] == ["extend"]
         self.assert_shares_and_carries(w)
 
     def test_blocked_powered_piston_shares_blocks(self):
@@ -1013,7 +1074,7 @@ class TestCopyRule:
         copied = stale = 0
         for world, cfg in pf_harvest:
             for _ in range(200):
-                due = any(e.due == 0 for e in world.events)
+                due = bool(world.events[0])
                 after, moved = step(world, cfg)
                 assert (after.blocks is not world.blocks) == bool(moved)
                 copied += bool(moved)
@@ -1035,7 +1096,7 @@ class TestCycleKey:
     """`_find_cycle` files each stepped world under the occupied cells of
     its own scan, which a world carries on from its input after a tick
     where nothing moved; every index in `seen` must be filed under its own
-    world's cells and queue lengths."""
+    world's cells and the length of each batch of its queues."""
 
     def test_each_index_is_filed_under_its_own_worlds_cells(self, pf_harvest, reference_flyer):
         histories = [stepped_history(with_scan(world), cfg, 40) for world, cfg in pf_harvest]
@@ -1045,10 +1106,11 @@ class TestCycleKey:
             seen = {}
             for i in range(len(history)):
                 _find_cycle(history[: i + 1], seen)
-            for (cells, n_events, n_pulses), indices in seen.items():
+            for key, indices in seen.items():
                 for j in indices:
                     world = history[j]
-                    assert (cells, n_events, n_pulses) == (frozenset(world.blocks), len(world.events), len(world.pulses))
+                    lengths = [len(batch) for batch in world.events] + [len(batch) for batch in world.pulses]
+                    assert key == (frozenset(world.blocks), *lengths)
                     if j > 0:
                         shared += world.blocks is history[j - 1].blocks
                         changed += world.blocks is not history[j - 1].blocks
@@ -1074,8 +1136,8 @@ class TestTickIndependence:
                 assert far_moved == near_moved
                 assert (far.blocks, far.events, far.pulses) == (near.blocks, near.events, near.pulses)
                 assert far.tick - near.tick == offset
-                with_events += bool(near.events)
-                with_pulses += bool(near.pulses)
+                with_events += any(near.events)
+                with_pulses += any(near.pulses)
             near_polls, _ = whole_polls_of(run_until, world, cfg, 10)
             far_polls, _ = whole_polls_of(run_until, _moved_forward(world, offset), cfg, 10)
             assert [(second, w.tick + offset, w.blocks, w.events, w.pulses) for second, w in near_polls] == [
