@@ -91,6 +91,25 @@ def decode(genome: Genome, cfg: DecodeConfig) -> list[BlockPlacement]:
     ]
 
 
+# id of each placement the decode tables hold -> its two key bytes: the cell
+# index, then kind * 6 + orientation. The tables live as long as the process,
+# so no id is reused.
+_KEY_CODES = {
+    id(placement): bytes((cell, placement.kind.ordinal * 6 + placement.orient.ordinal))
+    for _k, table in _DECODE_TABLES
+    for cell, by_kind in enumerate(table)
+    for by_orient in by_kind
+    for placement in by_orient
+}
+
+
+def shape_key(shape: list[BlockPlacement]) -> bytes:
+    """A compact key for a shape `decode` returned: two bytes per block. Two
+    decoded shapes have equal keys iff they are equal. The placements are
+    looked up by id, so no Enum is hashed."""
+    return b"".join(map(_KEY_CODES.__getitem__, map(id, shape)))
+
+
 def random_genome(rng: np.random.Generator, length: int) -> Genome:
     if length <= 0 or length % 3 != 0:
         raise LengthError(f"length must be a positive multiple of 3, got {length}")

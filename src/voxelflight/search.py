@@ -3,22 +3,24 @@ fitness (mu+lambda) baseline with binary tournament selection.
 
 Both run one ask/tell loop: the method's emitter asks for a batch of
 genomes, the loop evaluates them serially in order, and the method's tell
-keeps what it wants of each result. Both are reproducible byte-for-byte from
-(seed, budget, configs): variation consumes the run's random generator
+keeps what it wants of each outcome. A run simulates each distinct decoded
+shape once: it keeps the outcome of every shape it has evaluated, and a
+repeated shape gets the stored outcome. Both are reproducible byte-for-byte
+from (seed, budget, configs): variation consumes the run's random generator
 strictly sequentially, and evaluation consumes none of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
 from .behavior import ArchiveLayout
 from .blocks import Orientation
-from .fitness import EvaluationResult, FitnessConfig, evaluate
-from .genome import DecodeConfig, Genome, crossover, decode, polynomial_mutate, random_genome
+from .fitness import FitnessConfig, evaluate_shape
+from .genome import DecodeConfig, Genome, crossover, decode, polynomial_mutate, random_genome, shape_key
 from .sim import TickConfig
 
 # MAP-Elites emits offspring in batches of this size; parents within a batch
@@ -42,6 +44,31 @@ class SearchBudget:
             raise ValueError("crossover_prob must be a probability")
 
 
+class Outcome(NamedTuple):
+    """What a run keeps of one evaluation: all that its log and tells read."""
+
+    fitness: float
+    flew: bool
+    direction: Optional[Orientation]
+    ticks_used: int
+
+
+def evaluate(
+    genome: Genome, decode_cfg: DecodeConfig, tick_cfg: TickConfig, fit_cfg: FitnessConfig, memo: dict[bytes, Outcome],
+) -> Outcome:
+    """The outcome of one evaluation of `genome` in a run whose outcomes so
+    far `memo` holds by decoded shape. Evaluation is a pure function of the
+    decoded shape and the settings, so a shape already in `memo` gets its
+    stored outcome and only a new one is simulated (and stored)."""
+    shape = decode(genome, decode_cfg)
+    key = shape_key(shape)
+    outcome = memo.get(key)
+    if outcome is None:
+        result = evaluate_shape(shape, tick_cfg, fit_cfg)
+        outcome = memo[key] = Outcome(result.fitness, result.flew, result.direction, result.ticks_used)
+    return outcome
+
+
 @dataclass
 class BinEntry:
     genome: Genome
@@ -55,7 +82,7 @@ class BinEntry:
 class Archive:
     bins: dict[int, BinEntry] = field(default_factory=dict)
 
-    def insert(self, bin_index: int, genome: Genome, result: EvaluationResult, eval_number: int) -> bool:
+    def insert(self, bin_index: int, genome: Genome, result: Outcome, eval_number: int) -> bool:
         """Keep the candidate, found at evaluation `eval_number`, iff its bin is empty or it is strictly fitter."""
         incumbent = self.bins.get(bin_index)
         if incumbent is not None and result.fitness <= incumbent.fitness:
@@ -70,7 +97,7 @@ LOG_COLUMNS = (
     "occupied_bins",
     "best_fitness",
     "flights",
-) + tuple(f"first_flight_{o.name.lower()}" for o in Orientation)
+) + tuple(f"first_flight_{o.name.lower()}" for o in Orientation) + ("distinct_shapes",)
 
 
 @dataclass
@@ -83,7 +110,8 @@ class RunLog:
     the archive or population holds. Only a strictly greater result replaces
     it, so of equal values (the int 0 and 0.0) the earliest stays, as in `max`.
     First-flight columns hold the exact evaluation number that first flew in
-    that direction, or 0 while none has.
+    that direction, or 0 while none has. The last column counts the distinct
+    decoded shapes evaluated so far, each simulated once.
     """
 
     rows: list[tuple] = field(default_factory=list)
@@ -92,7 +120,7 @@ class RunLog:
     evaluations: int = 0
     best_fitness: float = float("-inf")  # the max of no results
 
-    def record_result(self, result: EvaluationResult) -> int:
+    def record_result(self, result: Outcome) -> int:
         """Count one evaluation, its fitness and its flight, if any; return its evaluation number."""
         self.evaluations += 1
         if result.fitness > self.best_fitness:
@@ -102,9 +130,9 @@ class RunLog:
             self.first_flights.setdefault(result.direction, self.evaluations)
         return self.evaluations
 
-    def snapshot(self, occupied: int) -> None:
+    def snapshot(self, occupied: int, distinct_shapes: int) -> None:
         firsts = tuple(self.first_flights.get(o, 0) for o in Orientation)
-        self.rows.append((self.evaluations, occupied, self.best_fitness, self.flights) + firsts)
+        self.rows.append((self.evaluations, occupied, self.best_fitness, self.flights) + firsts + (distinct_shapes,))
 
     def to_csv(self) -> str:
         lines = [",".join(LOG_COLUMNS)]
@@ -115,31 +143,34 @@ class RunLog:
 
 def _search(
     batches: Iterable[list[Genome]],
-    tell: Callable[[int, Genome, EvaluationResult], None],
+    tell: Callable[[int, Genome, Outcome], None],
     occupied: Callable[[], int],
     decode_cfg: DecodeConfig,
     tick_cfg: TickConfig,
     fit_cfg: FitnessConfig,
     log_interval: int,
 ) -> RunLog:
-    """Evaluate every genome of every batch in order and tell its result.
+    """Evaluate every genome of every batch in order and tell its outcome.
 
     `batches` asks for the next batch only once the previous one has been
-    told, so the emitter sees all results so far. Every `log_interval`
-    evaluations, and after the last one, the log takes a snapshot with
-    `occupied()` bins. The returned log carries the number of evaluations
-    made and the best fitness among them.
+    told, so the emitter sees all outcomes so far. The run's memo of outcomes
+    by decoded shape starts empty and is dropped on return, so runs stay
+    independent. Every `log_interval` evaluations, and after the last one,
+    the log takes a snapshot with `occupied()` bins and the memo's size. The
+    returned log carries the number of evaluations made and the best fitness
+    among them.
     """
     log = RunLog()
+    memo: dict[bytes, Outcome] = {}
     for batch in batches:
         for genome in batch:
-            result = evaluate(genome, decode_cfg, tick_cfg, fit_cfg)
-            eval_number = log.record_result(result)
-            tell(eval_number, genome, result)
+            outcome = evaluate(genome, decode_cfg, tick_cfg, fit_cfg, memo)
+            eval_number = log.record_result(outcome)
+            tell(eval_number, genome, outcome)
             if eval_number % log_interval == 0:
-                log.snapshot(occupied())
+                log.snapshot(occupied(), len(memo))
     if log.evaluations % log_interval != 0:
-        log.snapshot(occupied())
+        log.snapshot(occupied(), len(memo))
     return log
 
 
@@ -178,7 +209,7 @@ def map_elites_run(
                 uniforms.append(rng.random((2, decode_cfg.genome_length)))  # this child's mutation draws
             yield list(polynomial_mutate(np.array(parents), np.array(uniforms)))
 
-    def tell(eval_number: int, genome: Genome, result: EvaluationResult) -> None:
+    def tell(eval_number: int, genome: Genome, result: Outcome) -> None:
         archive.insert(layout.bin_index(layout.descriptor(decode(genome, decode_cfg))), genome, result, eval_number)
 
     log = _search(ask(), tell, lambda: len(archive.bins), decode_cfg, tick_cfg, fit_cfg, log_interval)
@@ -249,7 +280,7 @@ def mu_plus_lambda_run(
             yield list(polynomial_mutate(np.array(parents), np.array(uniforms)))
             population = select_survivors(pool, budget.mu)
 
-    def tell(eval_number: int, genome: Genome, result: EvaluationResult) -> None:
+    def tell(eval_number: int, genome: Genome, result: Outcome) -> None:
         pool.append(Individual(genome, result.fitness, eval_number - 1))
 
     log = _search(ask(), tell, lambda: budget.mu, decode_cfg, tick_cfg, fit_cfg, log_interval)

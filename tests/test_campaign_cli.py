@@ -146,6 +146,95 @@ class TestCampaign:
         assert firsts_in_log == [log.first_flights.get(o, 0) for o in Orientation]
 
 
+# Budgets long enough for PF to repeat shapes often.
+MEMO_BUDGETS = {
+    Method.PF: SearchBudget(mu=10, lam=10, generations=100),
+    Method.ME_C: SearchBudget(init_samples=20, offspring=300),
+    Method.ME_CN: SearchBudget(init_samples=20, offspring=300),
+    Method.ME_PO: SearchBudget(init_samples=20, offspring=300),
+}
+
+
+class MissEveryLookup:
+    """Stands for a run's memo in `search.evaluate`: every lookup misses, and
+    every outcome is still stored in the memo, so its size is unchanged."""
+
+    def __init__(self, memo):
+        self.memo = memo
+
+    def get(self, key, default=None):
+        return default
+
+    def __setitem__(self, key, value):
+        self.memo[key] = value
+
+
+def count_simulations(monkeypatch) -> list:
+    """Patch `evaluate_shape` as `search.evaluate` looks it up; the returned list grows by one per call."""
+    import voxelflight.search as search
+
+    real_evaluate_shape = search.evaluate_shape
+    calls = []
+
+    def counting_evaluate_shape(*args):
+        calls.append(1)
+        return real_evaluate_shape(*args)
+
+    monkeypatch.setattr(search, "evaluate_shape", counting_evaluate_shape)
+    return calls
+
+
+def last_distinct_shapes(run_dir) -> int:
+    return int(read_csv(run_dir / "log.csv")[-1]["distinct_shapes"])
+
+
+class TestShapeMemo:
+    """A run simulates each distinct decoded shape once (`search.evaluate`)."""
+
+    @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+    def test_memo_changes_no_output(self, method, monkeypatch, tmp_path):
+        import voxelflight.search as search
+
+        run_campaign(tiny_config(tmp_path / "memo", method=method, budget=MEMO_BUDGETS[method], log_interval=50))
+        real_evaluate = search.evaluate
+        monkeypatch.setattr(search, "evaluate", lambda genome, *args: real_evaluate(genome, *args[:-1], MissEveryLookup(args[-1])))
+        simulated = count_simulations(monkeypatch)
+        logs = run_campaign(tiny_config(tmp_path / "missing", method=method, budget=MEMO_BUDGETS[method], log_interval=50))
+        assert tree_bytes(tmp_path / "memo") == tree_bytes(tmp_path / "missing")
+        assert len(simulated) == sum(log.evaluations for log in logs)  # the lookups did miss
+        if method is Method.PF:
+            for log, run in zip(logs, ("run_000", "run_001")):
+                assert last_distinct_shapes(tmp_path / "memo" / "runs" / run) < 0.9 * log.evaluations
+
+    def test_counts_match_brute_force(self, monkeypatch, tmp_path):
+        import voxelflight.search as search
+
+        real_evaluate = search.evaluate
+        simulated = count_simulations(monkeypatch)
+        calls = []  # (genome, the memo, its size, simulations so far), before each evaluation
+
+        def recording_evaluate(genome, *args):
+            calls.append((genome, args[-1], len(args[-1]), len(simulated)))
+            return real_evaluate(genome, *args)
+
+        monkeypatch.setattr(search, "evaluate", recording_evaluate)
+        logs = run_campaign(tiny_config(tmp_path / "c", method=Method.PF, budget=MEMO_BUDGETS[Method.PF]))
+        first = logs[0].evaluations
+        runs = (calls[:first], calls[first:])
+        assert runs[1][0][1] is not runs[0][0][1]
+        simulated_by = (0, runs[1][0][3], len(simulated))  # before each run, and in all
+        for i, (log, evaluated) in enumerate(zip(logs, runs)):
+            assert len(evaluated) == log.evaluations
+            memo = evaluated[0][1]
+            assert evaluated[0][2] == 0  # each run starts with an empty memo
+            assert all(entry[1] is memo for entry in evaluated)
+            shapes = [tuple(decode(genome, DecodeConfig(BlockSet.OBSERVER))) for genome, *_ in evaluated]
+            for row in read_csv(tmp_path / "c" / "runs" / f"run_{i:03d}" / "log.csv"):
+                assert int(row["distinct_shapes"]) == len(set(shapes[: int(row["evaluations"])]))
+            assert simulated_by[i + 1] - simulated_by[i] == len(set(shapes))
+        assert len(simulated) < len(calls)
+
+
 class TestArchivePersistence:
     def _flyer_archive(self, fixtures_dir):
         decode_cfg = DecodeConfig(block_set=BlockSet.OBSERVER)

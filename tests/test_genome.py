@@ -25,6 +25,8 @@ from voxelflight import (
     random_genome,
 )
 
+from voxelflight.genome import shape_key
+
 from helpers import reference_decode, reference_mutate
 
 CFG_ORIG = DecodeConfig(block_set=BlockSet.ORIGINAL)
@@ -139,6 +141,42 @@ class TestDecodeMatchesReference:
         # The genes reach every interval, so each split point is crossed.
         assert kinds == set(cfg.block_set.members)
         assert orients == set(Orientation)
+
+
+def one_block_shapes(cfg):
+    """Every placement `cfg` decodes to, each as the one-block shape of a genome."""
+    k = len(cfg.block_set.members)
+    for cell in range(cfg.volume):
+        for kind in range(k):
+            for orient in range(6):
+                g = np.zeros(cfg.genome_length)
+                g[3 * cell : 3 * cell + 3] = (1.0, (kind + 0.5) / k, (orient + 0.5) / 6)
+                yield decode(g, cfg)
+
+
+class TestShapeKey:
+    def test_two_bytes_per_placement_and_one_key_per_placement(self):
+        placements = {}
+        for cfg in (CFG_ORIG, CFG_OBS):
+            for shape in one_block_shapes(cfg):
+                [placement] = shape
+                key = shape_key(shape)
+                assert len(key) == 2
+                # The same key only for an equal placement, under either block set.
+                assert placements.setdefault(key, placement) == placement
+        assert len(placements) == CFG_OBS.volume * len(CFG_OBS.block_set.members) * 6
+
+    def test_keys_are_equal_iff_shapes_are(self):
+        rng = np.random.default_rng(31)
+        genomes = [random_genome(rng, CFG_OBS.genome_length) for _ in range(300)]
+        # Nudged copies often decode to the same shape as their source.
+        genomes += [np.clip(g + rng.uniform(-0.02, 0.02, g.shape), 0.0, 1.0) for g in genomes]
+        shapes = [tuple(decode(g, CFG_OBS)) for g in genomes]
+        keys = [shape_key(list(shape)) for shape in shapes]
+        assert all(len(key) == 2 * len(shape) for key, shape in zip(keys, shapes))
+        distinct = len(set(shapes))
+        assert 300 < distinct < len(shapes)  # both equal and unequal pairs occur
+        assert len(set(keys)) == len(set(zip(keys, shapes))) == distinct
 
 
 class TestRandomGenome:
