@@ -3,11 +3,13 @@ fitness (mu+lambda) baseline with binary tournament selection.
 
 Both run one ask/tell loop: the method's emitter asks for a batch of
 genomes, the loop evaluates them serially in order, and the method's tell
-keeps what it wants of each outcome. A run simulates each distinct decoded
-shape once: it keeps the outcome of every shape it has evaluated, and a
-repeated shape gets the stored outcome. Both are reproducible byte-for-byte
-from (seed, budget, configs): variation consumes the run's random generator
-strictly sequentially, and evaluation consumes none of it.
+keeps what it wants of each outcome. The loop decodes each genome once and
+hands on the decoded shape with its scores, so MAP-Elites bins the shape it
+evaluated. A run simulates each distinct shape once: it keeps the scores of
+every shape it has evaluated, and a repeated shape gets the stored scores.
+Both are reproducible byte-for-byte from (seed, budget, configs): variation
+consumes the run's random generator strictly sequentially, and evaluation
+consumes none of it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 import numpy as np
 
 from .behavior import ArchiveLayout
-from .blocks import Orientation
+from .blocks import BlockPlacement, Orientation
 from .fitness import FitnessConfig, evaluate_shape
 from .genome import DecodeConfig, Genome, crossover, decode, polynomial_mutate, random_genome, shape_key
 from .sim import TickConfig
@@ -45,8 +47,10 @@ class SearchBudget:
 
 
 class Outcome(NamedTuple):
-    """What a run keeps of one evaluation: all that its log and tells read."""
+    """What a run keeps of one evaluation: the decoded shape, which MAP-Elites
+    bins, and the scores that the log and the tells read."""
 
+    shape: list[BlockPlacement]
     fitness: float
     flew: bool
     direction: Optional[Orientation]
@@ -54,23 +58,25 @@ class Outcome(NamedTuple):
 
 
 def evaluate(
-    genome: Genome, decode_cfg: DecodeConfig, tick_cfg: TickConfig, fit_cfg: FitnessConfig, memo: dict[bytes, Outcome],
+    genome: Genome, decode_cfg: DecodeConfig, tick_cfg: TickConfig, fit_cfg: FitnessConfig, memo: dict[bytes, tuple],
 ) -> Outcome:
-    """The outcome of one evaluation of `genome` in a run whose outcomes so
-    far `memo` holds by decoded shape. Evaluation is a pure function of the
+    """The outcome of one evaluation of `genome` in a run whose scores so far
+    `memo` holds by decoded shape. Evaluation is a pure function of the
     decoded shape and the settings, so a shape already in `memo` gets its
-    stored outcome and only a new one is simulated (and stored)."""
+    stored scores and only a new one is simulated (and stored)."""
     shape = decode(genome, decode_cfg)
     key = shape_key(shape)
-    outcome = memo.get(key)
-    if outcome is None:
+    scores = memo.get(key)
+    if scores is None:
         result = evaluate_shape(shape, tick_cfg, fit_cfg)
-        outcome = memo[key] = Outcome(result.fitness, result.flew, result.direction, result.ticks_used)
-    return outcome
+        scores = memo[key] = (result.fitness, result.flew, result.direction, result.ticks_used)
+    return Outcome(shape, *scores)
 
 
 @dataclass
-class BinEntry:
+class Elite:
+    """A kept genome (an archive bin's occupant or a PF population member) and the evaluation that found it."""
+
     genome: Genome
     fitness: float
     flew: bool
@@ -80,14 +86,14 @@ class BinEntry:
 
 @dataclass
 class Archive:
-    bins: dict[int, BinEntry] = field(default_factory=dict)
+    bins: dict[int, Elite] = field(default_factory=dict)
 
     def insert(self, bin_index: int, genome: Genome, result: Outcome, eval_number: int) -> bool:
         """Keep the candidate, found at evaluation `eval_number`, iff its bin is empty or it is strictly fitter."""
         incumbent = self.bins.get(bin_index)
         if incumbent is not None and result.fitness <= incumbent.fitness:
             return False
-        self.bins[bin_index] = BinEntry(genome.copy(), result.fitness, result.flew, result.direction, eval_number)
+        self.bins[bin_index] = Elite(genome.copy(), result.fitness, result.flew, result.direction, eval_number)
         return True
 
 
@@ -153,7 +159,7 @@ def _search(
     """Evaluate every genome of every batch in order and tell its outcome.
 
     `batches` asks for the next batch only once the previous one has been
-    told, so the emitter sees all outcomes so far. The run's memo of outcomes
+    told, so the emitter sees all outcomes so far. The run's memo of scores
     by decoded shape starts empty and is dropped on return, so runs stay
     independent. Every `log_interval` evaluations, and after the last one,
     the log takes a snapshot with `occupied()` bins and the memo's size. The
@@ -161,7 +167,7 @@ def _search(
     among them.
     """
     log = RunLog()
-    memo: dict[bytes, Outcome] = {}
+    memo: dict[bytes, tuple] = {}  # an Outcome's fields after the shape, by shape key
     for batch in batches:
         for genome in batch:
             outcome = evaluate(genome, decode_cfg, tick_cfg, fit_cfg, memo)
@@ -195,43 +201,34 @@ def map_elites_run(
     archive = Archive()
 
     def ask() -> Iterator[list[Genome]]:
+        def pick() -> Genome:  # a uniformly sampled elite of the batch's parents
+            return archive.bins[occupied[rng.integers(len(occupied))]].genome
+
         yield [random_genome(rng, decode_cfg.genome_length) for _ in range(budget.init_samples)]
         for start in range(0, budget.offspring, EVAL_BATCH):
             occupied = sorted(archive.bins)  # parents fixed before the batch's insertions
             parents, uniforms = [], []
             for _ in range(min(EVAL_BATCH, budget.offspring - start)):
-                if rng.random() < budget.crossover_prob:
-                    first = archive.bins[occupied[rng.integers(len(occupied))]].genome
-                    second = archive.bins[occupied[rng.integers(len(occupied))]].genome
-                    parents.append(crossover(first, second, rng))
-                else:
-                    parents.append(archive.bins[occupied[rng.integers(len(occupied))]].genome)
+                parents.append(crossover(pick(), pick(), rng) if rng.random() < budget.crossover_prob else pick())
                 uniforms.append(rng.random((2, decode_cfg.genome_length)))  # this child's mutation draws
             yield list(polynomial_mutate(np.array(parents), np.array(uniforms)))
 
-    def tell(eval_number: int, genome: Genome, result: Outcome) -> None:
-        archive.insert(layout.bin_index(layout.descriptor(decode(genome, decode_cfg))), genome, result, eval_number)
+    def tell(eval_number: int, genome: Genome, outcome: Outcome) -> None:
+        archive.insert(layout.bin_index(layout.descriptor(outcome.shape)), genome, outcome, eval_number)
 
     log = _search(ask(), tell, lambda: len(archive.bins), decode_cfg, tick_cfg, fit_cfg, log_interval)
     return archive, log
 
 
-@dataclass
-class Individual:
-    genome: Genome
-    fitness: float
-    birth: int  # global birth index; lower is older
-
-
-Population = list[Individual]
+Population = list[Elite]
 
 
 def select_survivors(pool: Population, mu: int) -> Population:
-    """Top mu by fitness; ties keep older individuals (lower birth index)."""
-    return sorted(pool, key=lambda ind: (-ind.fitness, ind.birth))[:mu]
+    """Top mu by fitness; ties keep older members (found at an earlier evaluation)."""
+    return sorted(pool, key=lambda member: (-member.fitness, member.discovered_eval))[:mu]
 
 
-def _tournament(population: Population, rng: np.random.Generator) -> Individual:
+def _tournament(population: Population, rng: np.random.Generator) -> Elite:
     """Binary tournament: two uniform picks, higher fitness wins, ties uniform."""
     first = population[int(rng.integers(len(population)))]
     second = population[int(rng.integers(len(population)))]
@@ -261,7 +258,7 @@ def mu_plus_lambda_run(
     """
     rng = np.random.default_rng(seed)
     population: Population = []
-    pool = population  # individuals told so far in this generation, parents first
+    pool = population  # members told so far in this generation, parents first
 
     def ask() -> Iterator[list[Genome]]:
         nonlocal population, pool
@@ -280,8 +277,8 @@ def mu_plus_lambda_run(
             yield list(polynomial_mutate(np.array(parents), np.array(uniforms)))
             population = select_survivors(pool, budget.mu)
 
-    def tell(eval_number: int, genome: Genome, result: Outcome) -> None:
-        pool.append(Individual(genome, result.fitness, eval_number - 1))
+    def tell(eval_number: int, genome: Genome, outcome: Outcome) -> None:
+        pool.append(Elite(genome, outcome.fitness, outcome.flew, outcome.direction, eval_number))
 
     log = _search(ask(), tell, lambda: budget.mu, decode_cfg, tick_cfg, fit_cfg, log_interval)
     return population, log

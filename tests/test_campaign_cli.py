@@ -116,24 +116,30 @@ class TestCampaign:
         assert round_up_to_interval(500, 100) == 500
         assert round_up_to_interval(1, 100) == 100
 
-    @pytest.mark.parametrize("method", [Method.ME_PO, Method.PF])
+    @pytest.mark.parametrize("method", list(Method))
     def test_outcome_counts_every_evaluation(self, method, monkeypatch, tmp_path):
+        # Each evaluation decodes its genome once: MAP-Elites bins the shape the evaluation decoded.
         import voxelflight.search as search
 
-        real_evaluate = search.evaluate
-        calls = []
+        real_evaluate, real_decode = search.evaluate, search.decode
+        calls, decodes = [], []
 
         def counting_evaluate(*args):
             calls.append(1)
             return real_evaluate(*args)
 
+        def counting_decode(*args):
+            decodes.append(1)
+            return real_decode(*args)
+
         monkeypatch.setattr(search, "evaluate", counting_evaluate)
-        run_single(tiny_config("unused", method=method), 3, str(tmp_path / "run"))
+        monkeypatch.setattr(search, "decode", counting_decode)
+        log = run_single(tiny_config("unused", method=method), 3, str(tmp_path / "run"))
         expected = TINY.mu + TINY.lam * TINY.generations if method is Method.PF else TINY.init_samples + TINY.offspring
         last = (tmp_path / "run" / "log.csv").read_text().splitlines()[-1]
         total = int(last.split(",")[0])
-        assert total == len(calls) == expected
-        if method is Method.ME_PO:
+        assert total == log.evaluations == len(calls) == len(decodes) == expected
+        if method is not Method.PF:
             manifest = (tmp_path / "run" / "archive" / "manifest.txt").read_text().splitlines()
             assert f"evaluations = {total}" in manifest
 

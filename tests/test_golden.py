@@ -6,8 +6,9 @@ busy oscillators from a fixed-seed PF run, and 600 random genomes of seed 0.
 (fitness, flight, direction, trajectory, leftover blocks, ticks and exit log).
 A change to decoding, placement, the simulator or scoring that moves a single
 result, by one bit, fails here. It also records the digests of the seed-0
-ME.PO and PF campaigns (archives, populations, logs and summaries), so a
-change to what the searches find fails too, and `bench/corpus.py` must still
+ME.PO and PF campaigns (archives, populations, logs and summaries), and this
+file those of the seed-0 ME.C and ME.CN campaigns, so a change to what the
+searches find fails too, and `bench/corpus.py` must still
 regenerate the corpus file byte for byte. The bench files are read, never
 written.
 """
@@ -70,6 +71,35 @@ def test_seeded_campaign_matches_golden_digests(campaign_bench, workload, tmp_pa
     with open(os.path.join(BENCH, "golden.json")) as fh:
         golden = json.load(fh)[workload]["seed=0"]
     assert digests.campaign_digest(str(tmp_path)) == golden
+
+
+# The seed-0 ME.C and ME.CN campaigns, which the benchmark does not run: 2 runs
+# x 500 evaluations (100 initial samples, then 400 offspring). Together with
+# ME.PO above they lock the binning of all three MAP-Elites characterizations.
+ME_GOLDEN = {
+    "me-c": {
+        "runs": [
+            "7e7cbd0d89580ee1aae9fd7ca5b37ffcf998a2fef5aadfc4074d9b5cd79f78e3",
+            "4c7b66ff127b930dd2cd27f58fa35eeab20639931d34399c674a75a4265d32d5",
+        ],
+        "summary": "ab6b444c339ba7013fbe6917fcbcebc04269656208b8f70aadb5a5fa35eef00f",
+    },
+    "me-cn": {
+        "runs": [
+            "7483f47381c6beb49fb607a6fade1be6a151a0ece7ed2680054f094f66a59ec9",
+            "3c0e58c50b0e2e13a922d1fe946f2d14681c4efc832ca79dd94cedf71dfa7bc0",
+        ],
+        "summary": "febd4c176d416c985ccfc76758d5c875cf9eb01d108b062be4f55e6966fb6dc2",
+    },
+}
+
+
+@pytest.mark.parametrize("method", sorted(ME_GOLDEN))
+def test_seeded_me_campaign_matches_golden_digests(campaign_bench, method, tmp_path):
+    _common, digests = campaign_bench
+    argv = ["run", "--method", method, "--block-set", "observer", "--runs", "2", "--seed", "0"]
+    assert cli.main(argv + ["--init-samples", "100", "--evals", "400", "--out", str(tmp_path)]) == 0
+    assert digests.campaign_digest(str(tmp_path)) == ME_GOLDEN[method]
 
 
 def test_corpus_file_matches_its_generator(bench):

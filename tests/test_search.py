@@ -182,17 +182,17 @@ class TestMuPlusLambda:
             assert any((ind.genome == g).all() for g in initial)
 
     def test_worse_children_leave_population_unchanged(self):
-        from voxelflight.search import Individual, select_survivors
+        from voxelflight.search import Elite, select_survivors
 
-        parents = [Individual(np.zeros(3), 5.0 - i, i) for i in range(4)]
-        children = [Individual(np.ones(3), 0.5, 4 + i) for i in range(4)]
+        parents = [Elite(np.zeros(3), 5.0 - i, False, None, 1 + i) for i in range(4)]
+        children = [Elite(np.ones(3), 0.5, False, None, 5 + i) for i in range(4)]
         assert select_survivors(parents + children, 4) == parents
 
     def test_tied_children_lose_to_older_parents(self):
-        from voxelflight.search import Individual, select_survivors
+        from voxelflight.search import Elite, select_survivors
 
-        parents = [Individual(np.zeros(3), 1.0, i) for i in range(3)]
-        clones = [Individual(np.ones(3), 1.0, 3 + i) for i in range(3)]
+        parents = [Elite(np.zeros(3), 1.0, False, None, 1 + i) for i in range(3)]
+        clones = [Elite(np.ones(3), 1.0, False, None, 4 + i) for i in range(3)]
         assert select_survivors(parents + clones, 3) == parents
 
     def test_reproducible_from_seed(self):
