@@ -61,15 +61,6 @@ class ExperimentConfig:
         if self.log_interval < 1:
             raise ValueError("log_interval must be >= 1")
 
-    def decode_config(self) -> DecodeConfig:
-        return DecodeConfig(block_set=self.block_set)
-
-    def tick_config(self) -> TickConfig:
-        return TickConfig(emulate_observer_bug=self.emulate_observer_bug)
-
-    def fitness_config(self) -> FitnessConfig:
-        return FitnessConfig()
-
 
 def round_up_to_interval(value: int, interval: int) -> int:
     return interval * math.ceil(value / interval)
@@ -141,9 +132,9 @@ def save_population(population: Population, path: str) -> None:
 
 def run_single(cfg: ExperimentConfig, seed: int, run_dir: str) -> RunLog:
     """One search run; writes log.csv plus an archive or population snapshot under `run_dir`."""
-    decode_cfg = cfg.decode_config()
-    tick_cfg = cfg.tick_config()
-    fit_cfg = cfg.fitness_config()
+    decode_cfg = DecodeConfig(block_set=cfg.block_set)
+    tick_cfg = TickConfig(emulate_observer_bug=cfg.emulate_observer_bug)
+    fit_cfg = FitnessConfig()
     os.makedirs(run_dir, exist_ok=True)
     if cfg.method is Method.PF:
         population, log = mu_plus_lambda_run(
@@ -200,8 +191,8 @@ def write_summary(cfg: ExperimentConfig, logs: list[RunLog]) -> None:
 def export_shape_file(cfg: ExperimentConfig, archive_dir: str, bin_index: int, out_path: str) -> None:
     """Decode a stored occupant and write it in the shape text format."""
     genome = load_archive_genome(archive_dir, bin_index)
-    shape = decode(genome, cfg.decode_config())
-    result = evaluate_shape(shape, cfg.tick_config(), cfg.fitness_config())
+    shape = decode(genome, DecodeConfig(block_set=cfg.block_set))
+    result = evaluate_shape(shape, TickConfig(emulate_observer_bug=cfg.emulate_observer_bug), FitnessConfig())
     layout = ArchiveLayout(cfg.method.characterization)
     header = [
         f"bin {bin_index}",

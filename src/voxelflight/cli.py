@@ -23,7 +23,7 @@ import re
 import sys
 from itertools import combinations
 
-from .blocks import BlockSet
+from .blocks import BlockSet, TickConfig
 from .campaign import (
     ExperimentConfig,
     Method,
@@ -31,8 +31,8 @@ from .campaign import (
     load_manifest_config,
     run_campaign,
 )
-from .fitness import evaluate
-from .genome import genome_from_line
+from .fitness import FitnessConfig, evaluate
+from .genome import DecodeConfig, genome_from_line
 from .search import SearchBudget
 from .stats import bonferroni, fisher_exact_2x2
 
@@ -40,7 +40,7 @@ from .stats import bonferroni, fisher_exact_2x2
 def parse_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        for lineno, raw in enumerate(fh.read().split("\n"), start=1):  # text mode reads every line end as "\n"
             line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()  # `res#2` keeps its `#`
             if not line:
                 continue
@@ -244,8 +244,8 @@ def _cmd_export(args: argparse.Namespace) -> int:
 def _cmd_replay(args: argparse.Namespace) -> int:
     with open(args.genome) as fh:
         genome = genome_from_line(fh.read())
-    cfg = ExperimentConfig(block_set=BlockSet(args.block_set), emulate_observer_bug=args.emulate_observer_bug)
-    result = evaluate(genome, cfg.decode_config(), cfg.tick_config(), cfg.fitness_config())
+    decode_cfg = DecodeConfig(block_set=BlockSet(args.block_set))
+    result = evaluate(genome, decode_cfg, TickConfig(emulate_observer_bug=args.emulate_observer_bug), FitnessConfig())
     print("fitness,flew,direction,leftover_count,ticks_used")
     print(result.csv_row())
     if result.com_trajectory:

@@ -281,21 +281,20 @@ def _repeats(earlier: WorldState, later: WorldState) -> bool:
     return earlier.events == later.events and earlier.pulses == later.pulses and earlier.blocks == later.blocks
 
 
-def _find_cycle(history: list[WorldState], seen: dict[tuple, list[int]]) -> Optional[tuple[int, int]]:
+def _find_cycle(history: list[WorldState], seen: dict[frozenset[Vec3], list[int]]) -> Optional[tuple[int, int]]:
     """Register the newest world of `history`; return the cycle it closes, if any.
 
     A cycle (j, period) means: from stepped index j on, the world after
     j + phase + laps*period steps is history[j + phase] moved forward by
     laps*period ticks. The newest world closes a cycle when it repeats an
     earlier one (see `_repeats`); a settled world is a cycle of period 1,
-    found one step after it settles. Candidates are keyed by occupied cells
-    and the length of every batch of both queues, which hash only int
-    tuples and ints; a hit is then compared in full. The occupied cells are read from the
-    world's scan, which every world in `history` carries.
+    found one step after it settles. Candidates are the earlier worlds with
+    the same occupied cells, read from the scan every world in `history`
+    carries; `_repeats` confirms one by its queues, then its blocks.
     """
     i = len(history) - 1
     world = history[i]
-    candidates = seen.setdefault((world.scan[2], *map(len, world.events + world.pulses)), [])
+    candidates = seen.setdefault(world.scan[2], [])
     for j in candidates:
         if _repeats(history[j], world):
             return j, i - j
@@ -330,7 +329,7 @@ def run_until(
     if not observer(world, 0):
         return world
     history = [world]  # history[k]: the world after k steps
-    seen: dict[tuple, list[int]] = {}
+    seen: dict[frozenset[Vec3], list[int]] = {}
     cycle = _find_cycle(history, seen)
     for second in range(1, seconds + 1):
         tick = second * cfg.ticks_per_second

@@ -277,12 +277,13 @@ class TestArchivePersistence:
         with open(os.path.join(fixtures_dir, "reference_flyer.shape")) as fh:
             shape = parse_shape(fh.read())
         genome = genome_for_shape(shape, DecodeConfig(block_set=BlockSet.OBSERVER))
-        decoded = decode(genome, cfg.decode_config())
+        original = DecodeConfig(block_set=BlockSet.ORIGINAL)
+        decoded = decode(genome, original)
         assert decoded != shape  # the two block sets read these genes differently
         layout = ArchiveLayout(Characterization.PISTON_ORIENTATION)
         archive = Archive()
         bin_index = layout.bin_index(layout.descriptor(decoded))
-        archive.insert(bin_index, genome, evaluate(genome, cfg.decode_config(), cfg.tick_config(), FitnessConfig()), 1)
+        archive.insert(bin_index, genome, evaluate(genome, original, TickConfig(emulate_observer_bug=False), FitnessConfig()), 1)
         archive_dir = str(tmp_path / "archive")
         save_archive(archive, archive_dir, cfg, seed=0, evaluations=1)
 
@@ -441,9 +442,10 @@ class TestCli:
 
     def test_config_file_parse_errors(self, tmp_path):
         bad = tmp_path / "bad.cfg"
-        bad.write_text("methodme-c\n")
-        with pytest.raises(ValueError):
+        bad.write_text("method = me-c\nbogus\n")
+        with pytest.raises(ValueError) as raised:
             parse_config_file(str(bad))
+        assert str(raised.value) == f"{bad}:2: expected 'key = value', got 'bogus'"  # no trailing newline
         unknown = tmp_path / "unknown.cfg"
         unknown.write_text("nope = 1\n")
         with pytest.raises(ValueError):

@@ -675,6 +675,29 @@ class TestCycleFastForward:
         assert run_until(oscillator(), CFG, 10, lambda world, second: True).tick == 200
         assert 0 < len(calls) <= start + 2 * period
 
+    def test_steps_stop_exactly_at_the_first_repeat(self, monkeypatch, pf_harvest):
+        # A detector that finds the repeat a period late, or never, steps
+        # more often than the brute first repeat allows.
+        worlds = pf_harvest + [(world, CFG) for world in periodic_fixtures()] + random_observer_worlds(200, seed=18)
+        expected = []
+        for world, cfg in worlds:
+            repeat = first_repeat(world, cfg)
+            expected.append(200 if repeat is None else sum(repeat))
+        calls = []
+
+        def counting_step(world, cfg):
+            calls.append(world.tick)
+            return step(world, cfg)
+
+        monkeypatch.setattr("voxelflight.sim.step", counting_step)
+        counts = []
+        for world, cfg in worlds:
+            calls.clear()
+            run_until(world, cfg, 10, lambda w, second: True)
+            counts.append(len(calls))
+        assert counts == expected
+        assert 1 in expected and max(expected) > 40  # settled worlds and late, long cycles both occur
+
     def test_pf_harvest_cycles_above_period_one(self, pf_harvest):
         # Guards the harvest equivalence test against a vacuous pass.
         repeats = [first_repeat(world, cfg) for world, cfg in pf_harvest]
@@ -1094,9 +1117,10 @@ def with_scan(world):
 
 class TestCycleKey:
     """`_find_cycle` files each stepped world under the occupied cells of
-    its own scan, which a world carries on from its input after a tick
-    where nothing moved; every index in `seen` must be filed under its own
-    world's cells and the length of each batch of its queues."""
+    its own scan alone, which a world carries on from its input after a
+    tick where nothing moved; `_repeats` then confirms a candidate by its
+    queues, then its blocks. Every index in `seen` must be filed under its
+    own world's cells."""
 
     def test_each_index_is_filed_under_its_own_worlds_cells(self, pf_harvest, reference_flyer):
         histories = [stepped_history(with_scan(world), cfg, 40) for world, cfg in pf_harvest]
@@ -1109,8 +1133,7 @@ class TestCycleKey:
             for key, indices in seen.items():
                 for j in indices:
                     world = history[j]
-                    lengths = [len(batch) for batch in world.events] + [len(batch) for batch in world.pulses]
-                    assert key == (frozenset(world.blocks), *lengths)
+                    assert key == frozenset(world.blocks)
                     if j > 0:
                         shared += world.blocks is history[j - 1].blocks
                         changed += world.blocks is not history[j - 1].blocks
