@@ -11,7 +11,6 @@ a pure-fitness (mu+lambda) baseline.
 from .behavior import (
     ArchiveLayout,
     BehaviorDescriptor,
-    BoundsError,
     Characterization,
     block_count_bc,
     negative_space,
@@ -25,8 +24,6 @@ from .blocks import (
     Box,
     Orientation,
     ORIENTATION_ORDER,
-    OutOfBoundsError,
-    OverlapError,
     WorldState,
     apply_observer_bug,
     center_of_mass,
@@ -53,8 +50,6 @@ from .fitness import (
 from .genome import (
     DecodeConfig,
     Genome,
-    LengthError,
-    LengthMismatchError,
     crossover,
     decode,
     genome_from_line,
@@ -70,6 +65,6 @@ from .search import (
     mu_plus_lambda_run,
 )
 from .sim import TickConfig, compute_power, compute_push_set, run_until, step
-from .stats import DegenerateTable, bonferroni, fisher_exact_2x2
+from .stats import bonferroni, fisher_exact_2x2
 
 __version__ = "0.1.0"

@@ -8,15 +8,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .blocks import BlockKind, BlockPlacement, Orientation
+from .blocks import BlockPlacement
 
 BehaviorDescriptor = tuple[int, ...]
 
 MAX_PISTON_BIN = 5  # counts of 5 or more share one bin per axis
-
-
-class BoundsError(ValueError):
-    """Descriptor entry outside its dimension's bin count."""
 
 
 class Characterization(Enum):
@@ -55,11 +51,11 @@ class ArchiveLayout:
         """Row-major flattening; bijective over in-range descriptors."""
         dims = self.dims
         if len(descriptor) != len(dims):
-            raise BoundsError(f"descriptor arity {len(descriptor)} != layout arity {len(dims)}")
+            raise ValueError(f"descriptor arity {len(descriptor)} != layout arity {len(dims)}")
         index = 0
         for value, size in zip(descriptor, dims):
             if not 0 <= value < size:
-                raise BoundsError(f"descriptor {descriptor} outside dims {dims}")
+                raise ValueError(f"descriptor {descriptor} outside dims {dims}")
             index = index * size + value
         return index
 
@@ -79,24 +75,11 @@ def negative_space(shape: list[BlockPlacement]) -> int:
     return volume - len(shape)
 
 
-# Kinds are tested by identity and axes looked up by unit vector (an int
-# tuple): hashing a BlockKind or an Orientation is a Python-level call.
-_PISTON = BlockKind.PISTON
-_STICKY_PISTON = BlockKind.STICKY_PISTON
-_AXIS_OF = {
-    Orientation.NORTH.vector: 0,
-    Orientation.SOUTH.vector: 0,
-    Orientation.EAST.vector: 1,
-    Orientation.WEST.vector: 1,
-    Orientation.UP.vector: 2,
-    Orientation.DOWN.vector: 2,
-}
-
-
 def piston_orientation_bc(shape: list[BlockPlacement]) -> BehaviorDescriptor:
-    """Piston counts grouped by axis (north/south, east/west, up/down), capped at 5."""
+    """Piston counts grouped by axis (north/south, east/west, up/down), capped
+    at 5; `Orientation` is declared in these axis pairs."""
     counts = [0, 0, 0]
     for p in shape:
-        if p.kind is _PISTON or p.kind is _STICKY_PISTON:
-            counts[_AXIS_OF[p.orient.vector]] += 1
+        if p.kind.piston:
+            counts[p.orient.ordinal // 2] += 1
     return tuple(min(c, MAX_PISTON_BIN) for c in counts)

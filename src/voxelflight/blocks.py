@@ -20,20 +20,7 @@ Vec3 = tuple[int, int, int]
 _new = tuple.__new__
 
 
-class OverlapError(ValueError):
-    """Two placements target the same cell, or a target cell is occupied."""
-
-
-class OutOfBoundsError(ValueError):
-    """A local shape position leaves the allowed spawn box."""
-
-
-class ShapeFormatError(ValueError):
-    """A shape text line could not be parsed."""
-
-
 class BlockKind(Enum):
-    AIR = "AIR"
     REDSTONE_BLOCK = "REDSTONE_BLOCK"
     SLIME_BLOCK = "SLIME_BLOCK"
     QUARTZ_BLOCK = "QUARTZ_BLOCK"
@@ -45,13 +32,16 @@ class BlockKind(Enum):
     PISTON_HEAD_STICKY = "PISTON_HEAD_STICKY"
 
     ordinal: int  # position in declaration order, set below
+    piston: bool  # a piston base, normal or sticky; set below
+    head: bool  # a piston head; set below
 
 
 class Orientation(Enum):
     """A facing; the reverse facing is the negated `vector` (the unit step),
     a plain member attribute set once at import: the simulator reads it per
     block per tick, where an Enum property or `value` is a Python call.
-    `ordinal`, the position in declaration order, is set at import likewise."""
+    `ordinal`, the position in declaration order, is set at import likewise;
+    the members are declared in axis pairs, so `ordinal // 2` is the axis."""
 
     NORTH = (0, 0, -1)
     SOUTH = (0, 0, 1)
@@ -94,11 +84,15 @@ _ORIGINAL_MEMBERS = (
 )
 _OBSERVER_MEMBERS = _ORIGINAL_MEMBERS + (BlockKind.OBSERVER,)
 
-# Placement and decoding index their tables by these ints, never by hashing
-# an Enum: `Enum.__hash__` is a Python-level call.
+# Placement and decoding index their tables by these ints, and the simulator
+# tests kinds by these flags, never by hashing an Enum: `Enum.__hash__` is a
+# Python-level call.
 for _enum in (BlockKind, Orientation, BlockSet):
     for _ordinal, _member in enumerate(_enum):
         _member.ordinal = _ordinal
+for _kind in BlockKind:
+    _kind.piston = _kind in (BlockKind.PISTON, BlockKind.STICKY_PISTON)
+    _kind.head = _kind in (BlockKind.PISTON_HEAD_NORMAL, BlockKind.PISTON_HEAD_STICKY)
 
 
 class BlockPlacement(NamedTuple):
@@ -246,8 +240,8 @@ def apply_observer_bug(shape: list[BlockPlacement]) -> list[BlockPlacement]:
 
 
 # The unextended Block each placement writes, shared by every placed world:
-# `_PLACED[observer_bug][kind.ordinal][orient.ordinal]`. Kinds no shape may
-# hold (air and piston heads) have no row.
+# `_PLACED[observer_bug][kind.ordinal][orient.ordinal]`. Piston heads, which
+# no shape may hold, have no row.
 _PLACED = tuple(
     tuple(
         tuple(Block(kind, _placed_facing(kind, orient, bug), False) for orient in Orientation)
@@ -258,32 +252,30 @@ _PLACED = tuple(
 )
 
 
-def place_shape(world: WorldState, shape: Iterable[BlockPlacement], origin: Vec3, observer_bug: bool = False) -> WorldState:
-    """Write a shape into the world at `origin` + local position, each block
+def place_shape(world: WorldState, shape: Iterable[BlockPlacement], observer_bug: bool = False) -> WorldState:
+    """Write a shape into the world at its own positions, each block
     unextended and, when `observer_bug`, with the observer quirk applied (as
     `apply_observer_bug` would); every block comes from a table built at
     import and shared by all placed worlds.
 
-    Local positions must stay inside the 3x3x3 spawn box and target cells must
-    be empty, so two placements at one local position overlap. Only the six
-    shape kinds place: air is absence and piston heads come from the
-    simulator. The tick counter is unchanged; placement generates no events.
+    Positions must stay inside the 3x3x3 spawn box and target cells must be
+    empty, so two placements at one position overlap. Only the six shape
+    kinds place: piston heads come from the simulator. The tick counter is
+    unchanged; placement generates no events.
     """
     new = world.copy()
     blocks = new.blocks
     rows = _PLACED[observer_bug]
-    ox, oy, oz = origin
     for pos, kind, orient in shape:
         row = rows[kind.ordinal]
         if row is None:
-            raise ValueError(f"{kind.name} is not a shape block (air is represented by absence)")
+            raise ValueError(f"{kind.name} is not a shape block (piston heads come from the simulator)")
         x, y, z = pos
         if not (0 <= x < SPAWN_BOX_SIZE and 0 <= y < SPAWN_BOX_SIZE and 0 <= z < SPAWN_BOX_SIZE):
-            raise OutOfBoundsError(f"local position {pos} outside [0,{SPAWN_BOX_SIZE})^3")
-        target = (ox + x, oy + y, oz + z)
-        if target in blocks:
-            raise OverlapError(f"target cell {target} already occupied")
-        blocks[target] = row[orient.ordinal]
+            raise ValueError(f"local position {pos} outside [0,{SPAWN_BOX_SIZE})^3")
+        if pos in blocks:
+            raise ValueError(f"target cell {pos} already occupied")
+        blocks[pos] = row[orient.ordinal]
     return new
 
 
@@ -335,13 +327,13 @@ def parse_shape(text: str) -> list[BlockPlacement]:
             continue
         parts = line.split()
         if len(parts) != 5:
-            raise ShapeFormatError(f"line {lineno}: expected 5 fields, got {len(parts)}")
+            raise ValueError(f"line {lineno}: expected 5 fields, got {len(parts)}")
         try:
             pos = (int(parts[0]), int(parts[1]), int(parts[2]))
             kind = BlockKind(parts[3])
             orient = Orientation[parts[4]]
         except (ValueError, KeyError) as exc:
-            raise ShapeFormatError(f"line {lineno}: {raw!r}") from exc
+            raise ValueError(f"line {lineno}: {raw!r}") from exc
         shape.append(BlockPlacement(pos, kind, orient))
     return shape
 

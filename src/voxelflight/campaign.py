@@ -23,10 +23,6 @@ from .search import Archive, Population, RunLog, SearchBudget, map_elites_run, m
 from .sim import TickConfig
 
 
-class SelectorError(ValueError):
-    """An export selector resolves to no occupant."""
-
-
 class Method(Enum):
     PF = "pf"
     ME_C = "me-c"
@@ -118,7 +114,7 @@ def load_manifest_config(path: str) -> ExperimentConfig:
 def load_archive_genome(path: str, bin_index: int) -> Genome:
     genome_path = os.path.join(path, "bins", f"{bin_index}.genome")
     if not os.path.exists(genome_path):
-        raise SelectorError(f"no occupant stored for bin {bin_index} under {path}")
+        raise ValueError(f"no occupant stored for bin {bin_index} under {path}")
     with open(genome_path) as fh:
         return genome_from_line(fh.read())
 
@@ -164,9 +160,9 @@ def run_campaign(cfg: ExperimentConfig) -> list[RunLog]:
 
 
 def write_summary(cfg: ExperimentConfig, logs: list[RunLog]) -> None:
-    """Write `summary.csv` (successes, distinct directions per run), `directions.csv`
-    (runs with a flight per direction) and `first_flights.csv` (per run with seed
-    `cfg.seed_base + i`, rounded up to the log interval and exact) into `cfg.out_dir`."""
+    """Write into `cfg.out_dir` `summary.csv` (successes, distinct directions per run),
+    `directions.csv` (runs with a flight per direction) and `first_flights.csv` (per
+    run with seed `cfg.seed_base + i`, exact and rounded up to its `log.csv` row)."""
     successes = sum(bool(log.first_flights) for log in logs)
     distinct = [len(log.first_flights) for log in logs]
     with open(os.path.join(cfg.out_dir, "summary.csv"), "w") as fh:
@@ -184,7 +180,7 @@ def write_summary(cfg: ExperimentConfig, logs: list[RunLog]) -> None:
         fh.write("run,seed,first_flight_rounded,first_flight_exact,best_fitness\n")
         for i, log in enumerate(logs):
             exact = min(log.first_flights.values(), default=None)
-            rounded = "never" if exact is None else round_up_to_interval(exact, cfg.log_interval)
+            rounded = "never" if exact is None else min(round_up_to_interval(exact, cfg.log_interval), log.evaluations)
             fh.write(f"{i},{cfg.seed_base + i},{rounded},{'never' if exact is None else exact},{log.best_fitness!r}\n")
 
 

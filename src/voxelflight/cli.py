@@ -236,6 +236,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_export(args: argparse.Namespace) -> int:
     archive_dir = os.path.join(args.in_dir, "archive")
+    if os.path.exists(os.path.join(args.in_dir, "population.txt")):
+        raise ValueError(f"{args.in_dir}: a pf run keeps population.txt, not an archive to export from")
     export_shape_file(load_manifest_config(archive_dir), archive_dir, args.bin, args.out)
     print(f"wrote {args.out}")
     return 0

@@ -30,10 +30,6 @@ from .genome import DecodeConfig, Genome, decode
 from .sim import TickConfig, run_until
 
 
-class EmptyExitLog(ValueError):
-    """Direction classification needs at least one exit record."""
-
-
 @dataclass(frozen=True)
 class FitnessConfig:
     """Scoring settings, all pinned. The worst-case flying score (the reward
@@ -77,7 +73,7 @@ def classify_direction(exit_log: list[tuple[Vec3, int]], watch_center: tuple[flo
     Down.
     """
     if not exit_log:
-        raise EmptyExitLog("no exit records to classify")
+        raise ValueError("no exit records to classify")
     total = [0.0, 0.0, 0.0]
     for pos, _tick in exit_log:
         for i in range(3):
@@ -100,7 +96,7 @@ def evaluate_shape(shape: list[BlockPlacement], tick_cfg: TickConfig, fit_cfg: F
     their stored world's blocks, and a handed-out world's blocks never change
     (see `WorldState`), so a repeated dict has the centre of mass, count and
     exits it had when first scanned."""
-    world = place_shape(WorldState(), shape, (0, 0, 0), tick_cfg.emulate_observer_bug)
+    world = place_shape(WorldState(), shape, tick_cfg.emulate_observer_bug)
 
     watch = fit_cfg.watch_box
     placed = len(shape)

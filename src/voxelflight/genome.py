@@ -25,14 +25,6 @@ MUTATION_RATE = 0.3
 MUTATION_ETA = 20.0
 
 
-class LengthError(ValueError):
-    """Genome length is not a positive multiple of 3."""
-
-
-class LengthMismatchError(ValueError):
-    """Genome length does not match the expected shape volume or partner."""
-
-
 @dataclass(frozen=True)
 class DecodeConfig:
     """Decoding settings: the block set is chosen per run; the shape is the
@@ -80,7 +72,7 @@ def decode(genome: Genome, cfg: DecodeConfig) -> list[BlockPlacement]:
     placement, and two decodes of one genome return the same objects). Genes
     lie in [0, 1], as `genome_from_line` enforces: the table assumes it."""
     if len(genome) != cfg.genome_length:
-        raise LengthMismatchError(f"expected length {cfg.genome_length}, got {len(genome)}")
+        raise ValueError(f"expected length {cfg.genome_length}, got {len(genome)}")
     # Python floats hold the same doubles as the array, without numpy's per-element boxing.
     genes = genome.tolist()
     k, table = _DECODE_TABLES[cfg.block_set.ordinal]
@@ -112,7 +104,7 @@ def shape_key(shape: list[BlockPlacement]) -> bytes:
 
 def random_genome(rng: np.random.Generator, length: int) -> Genome:
     if length <= 0 or length % 3 != 0:
-        raise LengthError(f"length must be a positive multiple of 3, got {length}")
+        raise ValueError(f"length must be a positive multiple of 3, got {length}")
     return rng.random(length)
 
 
@@ -133,7 +125,7 @@ def polynomial_mutate(
     one-genome call on it.
     """
     if uniforms.shape != genomes.shape[:-1] + (2,) + genomes.shape[-1:]:
-        raise LengthMismatchError(f"uniforms of shape {uniforms.shape} do not fit genomes of shape {genomes.shape}")
+        raise ValueError(f"uniforms of shape {uniforms.shape} do not fit genomes of shape {genomes.shape}")
     mask = uniforms[..., 0, :] < per_gene_rate
     r = uniforms[..., 1, :]
     # Every gene gets its branch's value, elementwise (so bit for bit as if it
@@ -155,7 +147,7 @@ def crossover(a: Genome, b: Genome, rng: np.random.Generator) -> Genome:
     (presence, type, orientation) triple is never split between parents.
     """
     if len(a) != len(b):
-        raise LengthMismatchError(f"parent lengths differ: {len(a)} vs {len(b)}")
+        raise ValueError(f"parent lengths differ: {len(a)} vs {len(b)}")
     cut = 3 * int(rng.integers(0, len(a) // 3 + 1))
     return np.concatenate([a[:cut], b[cut:]])
 
@@ -169,7 +161,7 @@ def genome_from_line(line: str) -> Genome:
     """Parse a `genome_to_line` line; every value must lie in [0, 1]."""
     values = np.array([float(tok) for tok in line.split()], dtype=float)
     if len(values) == 0 or len(values) % 3 != 0:
-        raise LengthError(f"parsed {len(values)} values, expected a positive multiple of 3")
+        raise ValueError(f"parsed {len(values)} values, expected a positive multiple of 3")
     outside = values[~((values >= 0.0) & (values <= 1.0))]  # NaN compares false: caught too
     if len(outside):
         raise ValueError(f"genome value {float(outside[0])!r} is not in [0, 1]")

@@ -50,9 +50,9 @@ from .blocks import (
     neighbors6,
 )
 
-# The per-tick kernel tests kinds by identity against these constants:
-# membership in a frozenset of kinds calls the Python-level Enum.__hash__.
-_PISTON = BlockKind.PISTON
+# The per-tick kernel tests kinds by identity against these constants, or by
+# the `piston` and `head` flags every kind carries: membership in a frozenset
+# of kinds calls the Python-level Enum.__hash__.
 _STICKY_PISTON = BlockKind.STICKY_PISTON
 _HEAD_NORMAL = BlockKind.PISTON_HEAD_NORMAL
 _HEAD_STICKY = BlockKind.PISTON_HEAD_STICKY
@@ -79,11 +79,9 @@ def compute_power(blocks: dict[Vec3, Block]) -> set[Vec3]:
 
 
 def _immovable(block: Block) -> bool:
-    """A piston head or an extended piston base: never pushed or pulled."""
-    kind = block.kind
-    if kind is _HEAD_NORMAL or kind is _HEAD_STICKY:
-        return True
-    return block.extended and (kind is _PISTON or kind is _STICKY_PISTON)
+    """A piston head or an extended piston base: never pushed or pulled
+    (`step` sets `extended` on piston bases alone)."""
+    return block.kind.head or block.extended
 
 
 def compute_push_set(world: WorldState, piston_pos: Vec3, direction: Orientation) -> Optional[set[Vec3]]:
@@ -111,7 +109,7 @@ def compute_push_set(world: WorldState, piston_pos: Vec3, direction: Orientation
         if cell == piston_pos:
             return None  # slime loop back onto the pushing piston
         kind = block.kind
-        if kind is _HEAD_NORMAL or kind is _HEAD_STICKY or (block.extended and (kind is _PISTON or kind is _STICKY_PISTON)):
+        if kind.head or block.extended:
             return None
         result.add(cell)
         if len(result) > limit:
@@ -185,7 +183,7 @@ def _scan(blocks: dict[Vec3, Block]) -> tuple[list, list, frozenset[Vec3]]:
     observers = []
     for pos, block in blocks.items():
         kind = block.kind
-        if kind is _PISTON or kind is _STICKY_PISTON:
+        if kind.piston:
             pistons.append((pos, block.extended, pos in redstone, block.orient))
         elif kind is _OBSERVER:
             (x, y, z), (dx, dy, dz) = pos, block.orient.vector
@@ -231,7 +229,7 @@ def step(world: WorldState, cfg: TickConfig) -> tuple[WorldState, set[Vec3]]:
     w = WorldState(blocks, world.tick + 1, events[1:] + (tuple(scheduled),), pulses, scan)  # pulses shifted at the end
     for action, pos, orient in events[0]:
         block = blocks.get(pos)
-        if block is None or not (block.kind is _PISTON or block.kind is _STICKY_PISTON) or block.orient is not orient:
+        if block is None or not block.kind.piston or block.orient is not orient:
             continue
         if action == "extend":
             if block.extended or (push := compute_push_set(w, pos, orient)) is None:
@@ -249,8 +247,7 @@ def step(world: WorldState, cfg: TickConfig) -> tuple[WorldState, set[Vec3]]:
             moved.add(head_pos)
         else:
             head = blocks.get(head_pos)
-            assert head is not None and (head.kind is _HEAD_NORMAL or head.kind is _HEAD_STICKY), \
-                "extended piston lost its head"
+            assert head is not None and head.kind.head, "extended piston lost its head"
             del blocks[head_pos]
             moved.add(head_pos)
             blocks[pos] = _new(Block, (block.kind, orient, False))

@@ -5,10 +5,6 @@ from __future__ import annotations
 from math import comb
 
 
-class DegenerateTable(ValueError):
-    """All four contingency table entries are zero."""
-
-
 def fisher_exact_2x2(a: int, b: int, c: int, d: int) -> float:
     """Two-sided Fisher exact p-value for the 2x2 table [[a, b], [c, d]].
 
@@ -20,7 +16,7 @@ def fisher_exact_2x2(a: int, b: int, c: int, d: int) -> float:
     if min(a, b, c, d) < 0:
         raise ValueError("table entries must be non-negative")
     if a + b + c + d == 0:
-        raise DegenerateTable("empty 2x2 table")
+        raise ValueError("empty 2x2 table")
     row1, row2 = a + b, c + d
     col1 = a + c
     n = row1 + row2

@@ -164,7 +164,7 @@ class TestCriterion5SimulatorFixtures:
             BlockPlacement((0, 0, 0), BlockKind.REDSTONE_BLOCK, Orientation.NORTH),
             BlockPlacement((1, 0, 0), BlockKind.PISTON, Orientation.EAST),
             BlockPlacement((2, 0, 0), BlockKind.QUARTZ_BLOCK, Orientation.NORTH),
-        ], (0, 0, 0))
+        ])
         for _ in range(3):
             w, _ = step(w, TICK)
         checks.append(
@@ -208,7 +208,7 @@ class TestCriterion5SimulatorFixtures:
             BlockPlacement((2, 0, 0), BlockKind.QUARTZ_BLOCK, Orientation.NORTH),
             BlockPlacement((2, 0, 1), BlockKind.OBSERVER, Orientation.NORTH),
             BlockPlacement((2, 0, 2), BlockKind.PISTON, Orientation.EAST),
-        ], (0, 0, 0))
+        ])
         for _ in range(3):
             w, _ = step(w, TICK)
         pulse_ok = absolute_times(w)[1] == [((2, 0, 2), 4, 6)]
@@ -222,7 +222,7 @@ class TestCriterion5SimulatorFixtures:
 
         # reference flying machine: > 6 blocks leave the 9x9x9 watch region in < 200 ticks
         watch = Box.cube((1, 1, 1), 9)
-        w = place_shape(WorldState(), reference_flyer, (0, 0, 0))
+        w = place_shape(WorldState(), reference_flyer)
         placed = len(reference_flyer)
         escaped = False
         while w.tick < 200:

@@ -6,7 +6,6 @@ from voxelflight import (
     BlockKind,
     BlockPlacement,
     BlockSet,
-    BoundsError,
     Characterization,
     DecodeConfig,
     FitnessConfig,
@@ -117,6 +116,22 @@ class TestPistonOrientation:
         ]
         assert piston_orientation_bc(pistons) == piston_orientation_bc(decorated)
 
+    def test_matches_a_count_by_explicit_axis_sets(self):
+        # The descriptor reads a facing's axis from its ordinal; the oracle names each axis's facings.
+        axes = ({O.NORTH, O.SOUTH}, {O.EAST, O.WEST}, {O.UP, O.DOWN})
+        pistons = {K.PISTON, K.STICKY_PISTON}
+        kinds, orients = BlockSet.OBSERVER.members, tuple(O)
+        cells = [(x, y, z) for x in range(3) for y in range(3) for z in range(3)]
+        rng = np.random.default_rng(779)
+        seen = set()
+        for _ in range(1000):
+            picks = rng.choice(27, size=int(rng.integers(0, 28)), replace=False)
+            shape = [BlockPlacement(cells[i], kinds[rng.integers(len(kinds))], orients[rng.integers(6)]) for i in picks]
+            expected = tuple(min(sum(p.kind in pistons and p.orient in axis for p in shape), 5) for axis in axes)
+            assert piston_orientation_bc(shape) == expected
+            seen.update(expected)
+        assert seen == set(range(6))  # every bin value occurs, the cap among them
+
 
 class TestLayouts:
     def test_dims_and_totals(self):
@@ -143,9 +158,9 @@ class TestLayouts:
 
     def test_bounds_errors(self):
         layout = ArchiveLayout(Characterization.BLOCK_COUNT)
-        with pytest.raises(BoundsError):
+        with pytest.raises(ValueError, match=r"^descriptor \(28,\) outside dims \(28,\)$"):
             layout.bin_index((28,))
-        with pytest.raises(BoundsError):
+        with pytest.raises(ValueError, match="^descriptor arity 2 != layout arity 1$"):
             layout.bin_index((1, 1))
 
     def test_descriptor_dispatch(self):

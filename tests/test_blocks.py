@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -13,8 +14,6 @@ from voxelflight import (
     Box,
     DecodeConfig,
     Orientation,
-    OutOfBoundsError,
-    OverlapError,
     WorldState,
     FitnessConfig,
     apply_observer_bug,
@@ -28,7 +27,7 @@ from voxelflight import (
 )
 from voxelflight.blocks import SPAWN_BOX_SIZE
 
-from helpers import absolute_times, add, translated
+from helpers import absolute_times, translated
 
 Q = BlockKind.QUARTZ_BLOCK
 N = Orientation.NORTH
@@ -55,6 +54,19 @@ class TestOrientation:
         assert Orientation.UP.vector == (0, 1, 0)
         assert Orientation.DOWN.vector == (0, -1, 0)
 
+    def test_declared_in_axis_pairs(self):
+        # `piston_orientation_bc` reads a facing's axis as `ordinal // 2`.
+        for orient in Orientation:
+            assert Orientation(tuple(-c for c in orient.vector)).ordinal == orient.ordinal ^ 1
+
+
+class TestBlockKinds:
+    def test_flags_name_the_piston_bases_and_heads(self):
+        bases = {BlockKind.PISTON, BlockKind.STICKY_PISTON}
+        heads = {BlockKind.PISTON_HEAD_NORMAL, BlockKind.PISTON_HEAD_STICKY}
+        for kind in BlockKind:
+            assert (kind.piston, kind.head) == (kind in bases, kind in heads)
+
 
 class TestBlockSets:
     def test_member_counts_and_order(self):
@@ -69,17 +81,17 @@ class TestBlockSets:
 class TestPlaceShape:
     def test_empty_shape_is_identity(self):
         w = WorldState()
-        assert place_shape(w, [], (7, 7, 7)).blocks == {}
+        assert place_shape(w, []).blocks == {}
 
-    def test_origin_offset(self):
-        w = place_shape(WorldState(), [BlockPlacement((1, 1, 1), BlockKind.REDSTONE_BLOCK, N)], (10, 10, 10))
-        assert (11, 11, 11) in w.blocks
+    def test_blocks_land_at_their_own_positions(self):
+        w = place_shape(WorldState(), [BlockPlacement((1, 2, 0), BlockKind.REDSTONE_BLOCK, N)])
+        assert list(w.blocks) == [(1, 2, 0)]
         assert w.tick == 0
 
     def test_placed_blocks_are_unextended_blocks(self):
         # place_shape takes each Block from a table built at import.
         shape = [BlockPlacement((0, 0, 0), Q, N), BlockPlacement((1, 0, 0), BlockKind.PISTON, Orientation.UP)]
-        w = place_shape(WorldState(), shape, (4, 5, 6))
+        w = place_shape(WorldState(), shape)
         assert len(w.blocks) == 2
         for p, b in zip(shape, w.blocks.values()):
             assert type(b) is Block
@@ -87,27 +99,29 @@ class TestPlaceShape:
 
     def test_overlap_rejected(self):
         shape = [BlockPlacement((0, 0, 0), Q, N), BlockPlacement((0, 0, 0), Q, N)]
-        with pytest.raises(OverlapError):
-            place_shape(WorldState(), shape, (0, 0, 0))
+        with pytest.raises(ValueError, match=r"^target cell \(0, 0, 0\) already occupied$"):
+            place_shape(WorldState(), shape)
 
     def test_occupied_target_rejected(self):
-        w = world_with((5, 5, 5))
-        with pytest.raises(OverlapError):
-            place_shape(w, [BlockPlacement((0, 0, 0), Q, N)], (5, 5, 5))
+        w = world_with((1, 2, 1))
+        with pytest.raises(ValueError, match=r"^target cell \(1, 2, 1\) already occupied$"):
+            place_shape(w, [BlockPlacement((1, 2, 1), Q, N)])
 
     def test_out_of_bounds_rejected(self):
-        with pytest.raises(OutOfBoundsError):
-            place_shape(WorldState(), [BlockPlacement((3, 0, 0), Q, N)], (0, 0, 0))
+        with pytest.raises(ValueError, match=r"^local position \(3, 0, 0\) outside \[0,3\)\^3$"):
+            place_shape(WorldState(), [BlockPlacement((3, 0, 0), Q, N)])
 
     @pytest.mark.parametrize("pos", [(-1, 0, 0), (0, -1, 0), (0, 0, -1), (3, 0, 0), (0, 3, 0), (0, 0, 3)])
     def test_out_of_bounds_on_every_side(self, pos):
-        place_shape(WorldState(), [BlockPlacement((2, 2, 2), Q, N), BlockPlacement((0, 0, 0), Q, N)], (0, 0, 0))  # corners fit
-        with pytest.raises(OutOfBoundsError):
-            place_shape(WorldState(), [BlockPlacement(pos, Q, N)], (0, 0, 0))
+        place_shape(WorldState(), [BlockPlacement((2, 2, 2), Q, N), BlockPlacement((0, 0, 0), Q, N)])  # corners fit
+        with pytest.raises(ValueError, match=f"^{re.escape(f'local position {pos} outside [0,3)^3')}$"):
+            place_shape(WorldState(), [BlockPlacement(pos, Q, N)])
 
     def test_air_rejected(self):
-        with pytest.raises(ValueError):
-            place_shape(WorldState(), [BlockPlacement((0, 0, 0), BlockKind.AIR, N)], (0, 0, 0))
+        # Air is the absence of a block: no kind names it, so no shape holds it.
+        assert "AIR" not in BlockKind.__members__
+        with pytest.raises(ValueError, match=r"^line 1: '0 0 0 AIR NORTH'$"):
+            parse_shape("0 0 0 AIR NORTH\n")
 
     def test_count_matches_placements(self):
         w = world_with((0, 0, 0), (1, 2, 0), (2, 2, 2))
@@ -132,20 +146,18 @@ def random_decoded_shapes(count, seed):
 class TestPlacementTable:
     """`place_shape` takes its blocks from a shared table, with the observer
     rewrite in the table's rows when `observer_bug` is set. Placing must
-    equal writing `Block(kind, facing, False)` for each placement, in shape
-    order, with the facing `apply_observer_bug` gives when the quirk is on."""
-
-    ORIGIN = (4, 5, 6)
+    equal writing `Block(kind, facing, False)` at each placement's position, in
+    shape order, with the facing `apply_observer_bug` gives when the quirk is on."""
 
     def assert_places(self, shapes):
         rewritten = 0
         for shape in shapes:
-            plain = place_shape(WorldState(), shape, self.ORIGIN)
-            bugged = place_shape(WorldState(), shape, self.ORIGIN, observer_bug=True)
+            plain = place_shape(WorldState(), shape)
+            bugged = place_shape(WorldState(), shape, observer_bug=True)
             fixed = apply_observer_bug(shape)
-            assert bugged == place_shape(WorldState(), fixed, self.ORIGIN)
+            assert bugged == place_shape(WorldState(), fixed)
             for world, placed in ((plain, shape), (bugged, fixed)):
-                expected = [(add(self.ORIGIN, p.pos), Block(p.kind, p.orient, False)) for p in placed]
+                expected = [(p.pos, Block(p.kind, p.orient, False)) for p in placed]
                 assert list(world.blocks.items()) == expected
                 assert all(type(b) is Block for b in world.blocks.values())
                 assert world.tick == 0 and absolute_times(world) == ([], [])
@@ -163,7 +175,7 @@ class TestPlacementTable:
     @pytest.mark.parametrize("kind", [BlockKind.PISTON_HEAD_NORMAL, BlockKind.PISTON_HEAD_STICKY])
     def test_heads_are_not_shape_blocks(self, kind):
         with pytest.raises(ValueError):
-            place_shape(WorldState(), [BlockPlacement((0, 0, 0), kind, N)], (0, 0, 0))
+            place_shape(WorldState(), [BlockPlacement((0, 0, 0), kind, N)])
 
 
 class TestCenterOfMass:
@@ -173,8 +185,8 @@ class TestCenterOfMass:
 
     def test_single_block(self):
         w = WorldState()
-        w = place_shape(w, [BlockPlacement((2, 2, 2), Q, N)], (3, 3, 3))
-        assert center_of_mass(w, Box((0, 0, 0), (10, 10, 10))) == (5.0, 5.0, 5.0)
+        w = place_shape(w, [BlockPlacement((2, 1, 0), Q, N)])
+        assert center_of_mass(w, Box((0, 0, 0), (10, 10, 10))) == (2.0, 1.0, 0.0)
 
     def test_empty_region_absent(self):
         assert center_of_mass(WorldState(), Box((0, 0, 0), (3, 3, 3))) is None
@@ -256,7 +268,5 @@ class TestShapeText:
         assert parse_shape(text) == [BlockPlacement((0, 0, 0), Q, N)]
 
     def test_bad_line_raises(self):
-        from voxelflight.blocks import ShapeFormatError
-
-        with pytest.raises(ShapeFormatError):
+        with pytest.raises(ValueError, match="^line 1: expected 5 fields, got 4$"):
             parse_shape("0 0 QUARTZ_BLOCK NORTH\n")

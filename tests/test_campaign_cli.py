@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -97,8 +98,8 @@ class TestCampaign:
     def test_direction_counting_contract(self, tmp_path):
         cfg = tiny_config(tmp_path)
         logs = [
-            RunLog(first_flights={Orientation.SOUTH: 700, Orientation.NORTH: 500}, best_fitness=55.0),
-            RunLog(first_flights={}, best_fitness=3.0),
+            RunLog(first_flights={Orientation.SOUTH: 700, Orientation.NORTH: 500}, evaluations=1000, best_fitness=55.0),
+            RunLog(first_flights={}, evaluations=1000, best_fitness=3.0),
         ]
         write_summary(cfg, logs)
         summary = read_csv(tmp_path / "summary.csv")[0]
@@ -110,6 +111,11 @@ class TestCampaign:
         flights = read_csv(tmp_path / "first_flights.csv")
         assert [row["first_flight_rounded"] for row in flights] == ["500", "never"]
         assert [row["first_flight_exact"] for row in flights] == ["500", "never"]
+        # A flight after the last whole interval rounds to the run's last log row, not past it.
+        cfg = tiny_config(tmp_path, runs=1, log_interval=100)
+        write_summary(cfg, [RunLog(first_flights={Orientation.EAST: 540}, evaluations=550, best_fitness=55.0)])
+        flights = read_csv(tmp_path / "first_flights.csv")
+        assert [(row["first_flight_rounded"], row["first_flight_exact"]) for row in flights] == [("550", "540")]
 
     def test_first_flight_rounding(self):
         assert round_up_to_interval(401, 100) == 500
@@ -300,9 +306,10 @@ class TestArchivePersistence:
         archive, bin_index, _, _ = self._flyer_archive(fixtures_dir)
         cfg = tiny_config(tmp_path, runs=1)
         save_archive(archive, str(tmp_path / "archive"), cfg, seed=0, evaluations=1)
-        from voxelflight.campaign import SelectorError, export_shape_file
+        from voxelflight.campaign import export_shape_file
 
-        with pytest.raises(SelectorError):
+        message = f"no occupant stored for bin {bin_index + 1} under {tmp_path / 'archive'}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             export_shape_file(cfg, str(tmp_path / "archive"), bin_index + 1, str(tmp_path / "x.shape"))
 
     def test_export_of_empty_bin_exits_2_with_one_line(self, tmp_path, capsys, fixtures_dir):
@@ -325,6 +332,16 @@ class TestArchivePersistence:
         out = tmp_path / "x.shape"
         assert console_main(["export", "--in", str(tmp_path), "--bin", str(bin_index), "--out", str(out)]) == 2
         assert capsys.readouterr().err == "voxelflight: error: genome value -0.25 is not in [0, 1]\n"
+        assert not out.exists()
+
+    def test_export_of_pf_run_exits_2_naming_the_run(self, tmp_path, capsys):
+        run_campaign(tiny_config(tmp_path, method=Method.PF, runs=1))
+        run_dir = tmp_path / "runs" / "run_000"
+        out = tmp_path / "x.shape"
+        assert console_main(["export", "--in", str(run_dir), "--bin", "0", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"voxelflight: error: {run_dir}: a pf run keeps population.txt, not an archive to export from\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("key, value, message", [

@@ -29,13 +29,14 @@ from voxelflight import (
     run_until,
     step,
 )
-from voxelflight.sim import _find_cycle, _moved_forward, _repeats, _scan
+from voxelflight.sim import _find_cycle, _immovable, _moved_forward, _repeats, _scan
 
 from helpers import (
     Pulse,
     TickEvent,
     absolute_times,
     absolute_world,
+    reference_immovable,
     reference_power,
     reference_run_until,
     reference_step,
@@ -126,7 +127,7 @@ class TestExtensionFixture:
             BlockPlacement((0, 0, 0), K.REDSTONE_BLOCK, O.NORTH),
             BlockPlacement((1, 0, 0), K.PISTON, O.EAST),
             BlockPlacement((2, 0, 0), K.QUARTZ_BLOCK, O.NORTH),
-        ], (0, 0, 0))
+        ])
 
     def test_extends_after_delay(self):
         w, moved = step(self.world, CFG)
@@ -228,7 +229,7 @@ class TestOscillatorFixture:
             BlockPlacement((0, 0, 0), K.PISTON, O.EAST),
             BlockPlacement((1, 0, 0), K.REDSTONE_BLOCK, O.NORTH),
             BlockPlacement((2, 0, 0), K.STICKY_PISTON, O.WEST),
-        ], (0, 0, 0))
+        ])
 
     def test_cycle_states(self):
         w = run_ticks(self.world, 3)  # pusher fired at tick 2
@@ -301,7 +302,7 @@ class TestObserverFixture:
             BlockPlacement((2, 0, 0), K.QUARTZ_BLOCK, O.NORTH),
             BlockPlacement((2, 0, 1), K.OBSERVER, O.NORTH),  # senses (2,0,0), outputs (2,0,2)
             BlockPlacement((2, 0, 2), K.PISTON, O.EAST),
-        ], (0, 0, 0))
+        ])
 
     def test_pulse_chain(self):
         w = run_ticks(self.world, 3)
@@ -395,7 +396,7 @@ class TestRunUntil:
 
 class TestReferenceFlyer:
     def test_advances_one_cell_per_ten_ticks(self, reference_flyer):
-        w = place_shape(WorldState(), reference_flyer, (0, 0, 0))
+        w = place_shape(WorldState(), reference_flyer)
         w = run_ticks(w, 13)
         snapshot = occupancy(w)
         w2 = run_ticks(w, 10)
@@ -407,7 +408,7 @@ class TestReferenceFlyer:
         from voxelflight import Box, count_blocks
 
         watch = Box.cube((1, 1, 1), 9)
-        w = place_shape(WorldState(), reference_flyer, (0, 0, 0))
+        w = place_shape(WorldState(), reference_flyer)
         placed = len(reference_flyer)
         for _ in range(200):
             w, _ = step(w, CFG)
@@ -429,7 +430,7 @@ def random_worlds(count, seed):
                 shape = decode(random_genome(rng, cfg.genome_length), cfg)
                 if bug:
                     shape = apply_observer_bug(shape)
-                worlds.append((place_shape(WorldState(), shape, (0, 0, 0)), TickConfig(emulate_observer_bug=bug)))
+                worlds.append((place_shape(WorldState(), shape), TickConfig(emulate_observer_bug=bug)))
     return worlds
 
 
@@ -471,7 +472,7 @@ class TestFastForward:
     def test_matches_on_fixtures(self, reference_flyer):
         observer_fixture = TestObserverFixture()
         observer_fixture.setup_method()
-        for world in (place_shape(WorldState(), reference_flyer, (0, 0, 0)), observer_fixture.world, unsettled_after_pulse()):
+        for world in (place_shape(WorldState(), reference_flyer), observer_fixture.world, unsettled_after_pulse()):
             fast_polls, fast = polls_of(run_until, world, CFG, 10)
             naive_polls, naive = polls_of(reference_run_until, world, CFG, 10)
             assert fast_polls == naive_polls
@@ -526,7 +527,7 @@ class TestPurity:
             observer_fixture.world,
             run_ticks(observer_fixture.world, 3),  # pending events and a pulse
             unsettled_after_pulse(),
-            place_shape(WorldState(), reference_flyer, (0, 0, 0)),
+            place_shape(WorldState(), reference_flyer),
         ]
 
     def test_step_leaves_input_unchanged(self, reference_flyer):
@@ -614,7 +615,7 @@ def pf_harvest():
     for genome, ticks in reversed(evaluated):
         if ticks >= 80:
             shapes.setdefault(tuple(apply_observer_bug(decode(genome, decode_cfg))), None)
-    return [(place_shape(WorldState(), list(shape), (0, 0, 0)), tick_cfg) for shape in list(shapes)[:60]]
+    return [(place_shape(WorldState(), list(shape)), tick_cfg) for shape in list(shapes)[:60]]
 
 
 def whole_polls_of(run, world, cfg, seconds):
@@ -915,7 +916,7 @@ def sim_fixtures(reference_flyer):
         unsettled_after_pulse(),
         observer_clock(),
         repeat_base(),
-        place_shape(WorldState(), reference_flyer, (0, 0, 0)),
+        place_shape(WorldState(), reference_flyer),
     ]
 
 
@@ -925,7 +926,7 @@ def random_observer_worlds(count, seed):
     rng = np.random.default_rng(seed)
     cfg = DecodeConfig(block_set=BlockSet.OBSERVER)
     shapes = [apply_observer_bug(decode(random_genome(rng, cfg.genome_length), cfg)) for _ in range(count)]
-    return [(place_shape(WorldState(), shape, (0, 0, 0)), TickConfig()) for shape in shapes]
+    return [(place_shape(WorldState(), shape), TickConfig()) for shape in shapes]
 
 
 class TestReferenceStep:
@@ -1004,7 +1005,7 @@ class TestQueues:
             BlockPlacement((1, 0, 0), K.REDSTONE_BLOCK, O.NORTH),
             BlockPlacement((0, 1, 0), K.SLIME_BLOCK, O.UP),
         ]
-        history = [with_scan(place_shape(WorldState(), shape, (0, 0, 0)))]
+        history = [with_scan(place_shape(WorldState(), shape))]
         seen = {}
         assert _find_cycle(history, seen) is None
         history.append(step(history[0], CFG)[0])
@@ -1168,3 +1169,22 @@ class TestTickIndependence:
             ]
         # Guards against a vacuous pass: ticks with pending events and with pulses.
         assert with_events > 0 and with_pulses > 0
+
+
+class TestExtendedFlag:
+    """`_immovable` is `kind.head or block.extended`, which equals the
+    reference test (a head, or an extended piston base) only while `step`
+    sets `extended` on piston bases alone."""
+
+    def test_only_piston_bases_are_extended(self, pf_harvest, reference_flyer):
+        worlds = pf_harvest + random_observer_worlds(200, seed=18) + [(w, CFG) for w in sim_fixtures(reference_flyer)]
+        extended = 0
+        for world, cfg in worlds:
+            for w in stepped_history(world, cfg, 200):
+                for block in w.blocks.values():
+                    if block.extended:
+                        assert block.kind in (K.PISTON, K.STICKY_PISTON)
+                        extended += 1
+                    assert _immovable(block) == reference_immovable(block)
+        # Guards against a vacuous pass: stepped worlds hold extended pistons.
+        assert extended > 0

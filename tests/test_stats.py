@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from voxelflight import DegenerateTable, bonferroni, fisher_exact_2x2
+from voxelflight import bonferroni, fisher_exact_2x2
 
 
 def fisher_oracle(a, b, c, d):
@@ -51,7 +51,7 @@ class TestFisher:
         assert fisher_exact_2x2(28, 2, 14, 16) == fisher_exact_2x2(16, 14, 2, 28)
 
     def test_degenerate_table(self):
-        with pytest.raises(DegenerateTable):
+        with pytest.raises(ValueError, match="^empty 2x2 table$"):
             fisher_exact_2x2(0, 0, 0, 0)
 
     def test_negative_entry(self):
