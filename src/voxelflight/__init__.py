@@ -25,7 +25,6 @@ from .blocks import (
     Orientation,
     ORIENTATION_ORDER,
     WorldState,
-    apply_observer_bug,
     center_of_mass,
     count_blocks,
     format_shape,
@@ -50,6 +49,7 @@ from .fitness import (
 from .genome import (
     DecodeConfig,
     Genome,
+    apply_observer_bug,
     crossover,
     decode,
     genome_from_line,

@@ -167,16 +167,13 @@ class Box:
 
 @dataclass(frozen=True)
 class TickConfig:
-    """Simulator settings: the game's timing rules are pinned constants;
-    only the observer placement quirk is chosen per run."""
+    """Simulator settings: the game's timing rules, all pinned constants."""
 
     ticks_per_second: ClassVar[int] = 20
     piston_delay: ClassVar[int] = 2  # extension and retraction alike
     observer_pulse_delay: ClassVar[int] = 2
     observer_pulse_length: ClassVar[int] = 2
     push_limit: ClassVar[int] = 12
-
-    emulate_observer_bug: bool = True
 
 
 @dataclass
@@ -220,43 +217,19 @@ class WorldState:
 SPAWN_BOX_SIZE = 3
 
 
-def _placed_facing(kind: BlockKind, orient: Orientation, observer_bug: bool) -> Orientation:
-    """The facing a block is placed with: under the observer placement quirk
-    an observer facing Up or Down is placed facing North."""
-    if observer_bug and kind is BlockKind.OBSERVER and (orient is Orientation.UP or orient is Orientation.DOWN):
-        return Orientation.NORTH
-    return orient
-
-
-def apply_observer_bug(shape: list[BlockPlacement]) -> list[BlockPlacement]:
-    """Rewrite Up/Down observer orientations to North, as placement with
-    `observer_bug` would."""
-    out = []
-    for p in shape:
-        if p.kind is BlockKind.OBSERVER and (facing := _placed_facing(p.kind, p.orient, True)) is not p.orient:
-            p = p._replace(orient=facing)
-        out.append(p)
-    return out
-
-
 # The unextended Block each placement writes, shared by every placed world:
-# `_PLACED[observer_bug][kind.ordinal][orient.ordinal]`. Piston heads, which
-# no shape may hold, have no row.
+# `_PLACED[kind.ordinal][orient.ordinal]`. Piston heads, which no shape may
+# hold, have no row.
 _PLACED = tuple(
-    tuple(
-        tuple(Block(kind, _placed_facing(kind, orient, bug), False) for orient in Orientation)
-        if kind in _OBSERVER_MEMBERS else None
-        for kind in BlockKind
-    )
-    for bug in (False, True)
+    tuple(Block(kind, orient, False) for orient in Orientation) if kind in _OBSERVER_MEMBERS else None
+    for kind in BlockKind
 )
 
 
-def place_shape(world: WorldState, shape: Iterable[BlockPlacement], observer_bug: bool = False) -> WorldState:
+def place_shape(world: WorldState, shape: Iterable[BlockPlacement]) -> WorldState:
     """Write a shape into the world at its own positions, each block
-    unextended and, when `observer_bug`, with the observer quirk applied (as
-    `apply_observer_bug` would); every block comes from a table built at
-    import and shared by all placed worlds.
+    unextended and facing as its placement does; every block comes from a
+    table built at import and shared by all placed worlds.
 
     Positions must stay inside the 3x3x3 spawn box and target cells must be
     empty, so two placements at one position overlap. Only the six shape
@@ -265,9 +238,8 @@ def place_shape(world: WorldState, shape: Iterable[BlockPlacement], observer_bug
     """
     new = world.copy()
     blocks = new.blocks
-    rows = _PLACED[observer_bug]
     for pos, kind, orient in shape:
-        row = rows[kind.ordinal]
+        row = _PLACED[kind.ordinal]
         if row is None:
             raise ValueError(f"{kind.name} is not a shape block (piston heads come from the simulator)")
         x, y, z = pos

@@ -128,8 +128,8 @@ def save_population(population: Population, path: str) -> None:
 
 def run_single(cfg: ExperimentConfig, seed: int, run_dir: str) -> RunLog:
     """One search run; writes log.csv plus an archive or population snapshot under `run_dir`."""
-    decode_cfg = DecodeConfig(block_set=cfg.block_set)
-    tick_cfg = TickConfig(emulate_observer_bug=cfg.emulate_observer_bug)
+    decode_cfg = DecodeConfig(cfg.block_set, cfg.emulate_observer_bug)
+    tick_cfg = TickConfig()
     fit_cfg = FitnessConfig()
     os.makedirs(run_dir, exist_ok=True)
     if cfg.method is Method.PF:
@@ -185,10 +185,11 @@ def write_summary(cfg: ExperimentConfig, logs: list[RunLog]) -> None:
 
 
 def export_shape_file(cfg: ExperimentConfig, archive_dir: str, bin_index: int, out_path: str) -> None:
-    """Decode a stored occupant and write it in the shape text format."""
+    """Decode a stored occupant and write it in the shape text format, as it
+    is placed (and so simulated) under the run's observer-bug setting."""
     genome = load_archive_genome(archive_dir, bin_index)
-    shape = decode(genome, DecodeConfig(block_set=cfg.block_set))
-    result = evaluate_shape(shape, TickConfig(emulate_observer_bug=cfg.emulate_observer_bug), FitnessConfig())
+    shape = decode(genome, DecodeConfig(cfg.block_set, cfg.emulate_observer_bug))
+    result = evaluate_shape(shape, TickConfig(), FitnessConfig())
     layout = ArchiveLayout(cfg.method.characterization)
     header = [
         f"bin {bin_index}",

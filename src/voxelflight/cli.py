@@ -192,7 +192,7 @@ def _read_summary_csv(path: str) -> dict[str, str]:
 def _print_campaign(campaign_dir: str) -> None:
     """Print a campaign from its three summary CSVs, all read and checked first:
     `summary.csv` as `key: value` lines, the runs with a flight per direction,
-    and the first flights rounded up to the log interval."""
+    and each run's first flight as its first `log.csv` row at or after it."""
     summary = _read_summary_csv(os.path.join(campaign_dir, "summary.csv"))
     directions = _read_csv(os.path.join(campaign_dir, "directions.csv"), ("direction", "runs_with_flight"))
     flights = _read_csv(os.path.join(campaign_dir, "first_flights.csv"), ("first_flight_rounded",))
@@ -201,7 +201,7 @@ def _print_campaign(campaign_dir: str) -> None:
     print("runs with a flight, per direction:")
     for row in directions:
         print(f"  {row['direction']:<5} {row['runs_with_flight']} run(s)")
-    print("first flights (rounded up to log interval):", ", ".join(row["first_flight_rounded"] for row in flights))
+    print("first flights (first log.csv row at or after the flight):", ", ".join(row["first_flight_rounded"] for row in flights))
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -246,8 +246,8 @@ def _cmd_export(args: argparse.Namespace) -> int:
 def _cmd_replay(args: argparse.Namespace) -> int:
     with open(args.genome) as fh:
         genome = genome_from_line(fh.read())
-    decode_cfg = DecodeConfig(block_set=BlockSet(args.block_set))
-    result = evaluate(genome, decode_cfg, TickConfig(emulate_observer_bug=args.emulate_observer_bug), FitnessConfig())
+    decode_cfg = DecodeConfig(BlockSet(args.block_set), args.emulate_observer_bug)
+    result = evaluate(genome, decode_cfg, TickConfig(), FitnessConfig())
     print("fitness,flew,direction,leftover_count,ticks_used")
     print(result.csv_row())
     if result.com_trajectory:

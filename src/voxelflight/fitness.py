@@ -96,7 +96,7 @@ def evaluate_shape(shape: list[BlockPlacement], tick_cfg: TickConfig, fit_cfg: F
     their stored world's blocks, and a handed-out world's blocks never change
     (see `WorldState`), so a repeated dict has the centre of mass, count and
     exits it had when first scanned."""
-    world = place_shape(WorldState(), shape, tick_cfg.emulate_observer_bug)
+    world = place_shape(WorldState(), shape)
 
     watch = fit_cfg.watch_box
     placed = len(shape)

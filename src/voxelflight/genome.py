@@ -14,7 +14,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .blocks import BlockPlacement, BlockSet, ORIENTATION_ORDER, SPAWN_BOX_SIZE
+from .blocks import BlockKind, BlockPlacement, BlockSet, Orientation, ORIENTATION_ORDER, SPAWN_BOX_SIZE
 
 Genome = np.ndarray
 
@@ -27,10 +27,12 @@ MUTATION_ETA = 20.0
 
 @dataclass(frozen=True)
 class DecodeConfig:
-    """Decoding settings: the block set is chosen per run; the shape is the
-    pinned SPAWN_BOX_SIZE cube."""
+    """Decoding settings, both chosen per run: the block set, and the observer
+    placement quirk, under which an observer facing Up or Down decodes (and
+    so is placed) facing North. The shape is the pinned SPAWN_BOX_SIZE cube."""
 
     block_set: BlockSet = BlockSet.ORIGINAL
+    emulate_observer_bug: bool = True
 
     volume: ClassVar[int] = SPAWN_BOX_SIZE**3
     genome_length: ClassVar[int] = 3 * volume
@@ -48,34 +50,57 @@ def _last_repeated(intervals: tuple) -> tuple:
     return intervals + intervals[-1:]
 
 
-def _decode_table(block_set: BlockSet) -> tuple:
+def _placed_facing(kind: BlockKind, orient: Orientation) -> Orientation:
+    """The facing a block is placed with under the observer placement quirk."""
+    if kind is BlockKind.OBSERVER and (orient is Orientation.UP or orient is Orientation.DOWN):
+        return Orientation.NORTH
+    return orient
+
+
+def apply_observer_bug(shape: list[BlockPlacement]) -> list[BlockPlacement]:
+    """Rewrite Up/Down observer orientations to North, as decoding under the
+    quirk does (so a shape `decode` returned under it is left as it is)."""
+    return [p if (facing := _placed_facing(p.kind, p.orient)) is p.orient else p._replace(orient=facing) for p in shape]
+
+
+def _decode_tables(block_set: BlockSet) -> tuple:
     """Every placement a gene triple can decode to under `block_set`, as
-    `table[cell][int(kind_gene * k)][int(orient_gene * 6)]` for its k kinds."""
+    `table[cell][int(kind_gene * k)][int(orient_gene * 6)]` for its k kinds:
+    (k, table) without the observer quirk, then with it. The quirk's table
+    shares the first one's rows but the observer's (the set's last kind, so
+    the last row, repeated), whose Up and Down slots hold the North-facing
+    observer of their cell; a set without observers has one table for both."""
     cfg = DecodeConfig(block_set)
-    return tuple(
+    plain = tuple(
         _last_repeated(tuple(
             _last_repeated(tuple(BlockPlacement(cell, kind, orient) for orient in ORIENTATION_ORDER))
             for kind in block_set.members
         ))
         for cell in map(cfg.cell_for_index, range(cfg.volume))
     )
+    quirk = plain if BlockKind.OBSERVER not in block_set.members else tuple(
+        by_kind[:-2] + _last_repeated((tuple(by_kind[-1][_placed_facing(p.kind, p.orient).ordinal] for p in by_kind[-1]),))
+        for by_kind in plain
+    )
+    return (len(block_set.members), plain), (len(block_set.members), quirk)
 
 
-# (k, table) by `BlockSet.ordinal`: the placements are built once, at import,
-# and shared by every decoded shape.
-_DECODE_TABLES = tuple((len(block_set.members), _decode_table(block_set)) for block_set in BlockSet)
+# ((k, table) without and with the quirk) by `BlockSet.ordinal`: the
+# placements are built once, at import, and shared by every decoded shape.
+_DECODE_TABLES = tuple(map(_decode_tables, BlockSet))
 
 
 def decode(genome: Genome, cfg: DecodeConfig) -> list[BlockPlacement]:
-    """Turn a genome into block placements in deterministic cell order, each
-    looked up in the block set's decode table (so decoding builds no
-    placement, and two decodes of one genome return the same objects). Genes
-    lie in [0, 1], as `genome_from_line` enforces: the table assumes it."""
+    """Turn a genome into the shape it places, in cell order, each placement
+    looked up in the decode table of the block set and quirk (so decoding
+    builds no placement, and two decodes of one genome return the same
+    objects). Genes lie in [0, 1], as `genome_from_line` enforces: the table
+    assumes it."""
     if len(genome) != cfg.genome_length:
         raise ValueError(f"expected length {cfg.genome_length}, got {len(genome)}")
     # Python floats hold the same doubles as the array, without numpy's per-element boxing.
     genes = genome.tolist()
-    k, table = _DECODE_TABLES[cfg.block_set.ordinal]
+    k, table = _DECODE_TABLES[cfg.block_set.ordinal][cfg.emulate_observer_bug]
     return [
         by_kind[int(kind_gene * k)][int(orient_gene * 6)]
         for by_kind, presence, kind_gene, orient_gene in zip(table, genes[0::3], genes[1::3], genes[2::3])
@@ -85,10 +110,10 @@ def decode(genome: Genome, cfg: DecodeConfig) -> list[BlockPlacement]:
 
 # id of each placement the decode tables hold -> its two key bytes: the cell
 # index, then kind * 6 + orientation. The tables live as long as the process,
-# so no id is reused.
+# so no id is reused; the quirk's tables hold no placement of their own.
 _KEY_CODES = {
     id(placement): bytes((cell, placement.kind.ordinal * 6 + placement.orient.ordinal))
-    for _k, table in _DECODE_TABLES
+    for ((_k, table), _quirk) in _DECODE_TABLES
     for cell, by_kind in enumerate(table)
     for by_orient in by_kind
     for placement in by_orient

@@ -9,6 +9,8 @@ import voxelflight
 from voxelflight import (
     Archive,
     ArchiveLayout,
+    BlockKind,
+    BlockPlacement,
     BlockSet,
     Characterization,
     DecodeConfig,
@@ -19,8 +21,10 @@ from voxelflight import (
     RunLog,
     SearchBudget,
     TickConfig,
+    apply_observer_bug,
     decode,
     evaluate,
+    evaluate_shape,
     genome_to_line,
     parse_shape,
     run_campaign,
@@ -35,6 +39,8 @@ from voxelflight.campaign import (
 from voxelflight.cli import _build_parser, console_main, main, parse_config_file
 
 from helpers import genome_for_shape
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
 TINY = SearchBudget(init_samples=15, offspring=30, mu=4, lam=4, generations=4)
 
@@ -219,6 +225,8 @@ class TestShapeMemo:
                 assert last_distinct_shapes(tmp_path / "memo" / "runs" / run) < 0.9 * log.evaluations
 
     def test_counts_match_brute_force(self, monkeypatch, tmp_path):
+        # `distinct_shapes` counts distinct placed shapes: under the observer
+        # quirk, the decoded shapes with Up and Down observers turned North.
         import voxelflight.search as search
 
         real_evaluate = search.evaluate
@@ -230,21 +238,45 @@ class TestShapeMemo:
             return real_evaluate(genome, *args)
 
         monkeypatch.setattr(search, "evaluate", recording_evaluate)
-        logs = run_campaign(tiny_config(tmp_path / "c", method=Method.PF, budget=MEMO_BUDGETS[Method.PF]))
-        first = logs[0].evaluations
-        runs = (calls[:first], calls[first:])
-        assert runs[1][0][1] is not runs[0][0][1]
-        simulated_by = (0, runs[1][0][3], len(simulated))  # before each run, and in all
-        for i, (log, evaluated) in enumerate(zip(logs, runs)):
-            assert len(evaluated) == log.evaluations
-            memo = evaluated[0][1]
-            assert evaluated[0][2] == 0  # each run starts with an empty memo
-            assert all(entry[1] is memo for entry in evaluated)
-            shapes = [tuple(decode(genome, DecodeConfig(BlockSet.OBSERVER))) for genome, *_ in evaluated]
-            for row in read_csv(tmp_path / "c" / "runs" / f"run_{i:03d}" / "log.csv"):
-                assert int(row["distinct_shapes"]) == len(set(shapes[: int(row["evaluations"])]))
-            assert simulated_by[i + 1] - simulated_by[i] == len(set(shapes))
-        assert len(simulated) < len(calls)
+        unrewritten = DecodeConfig(BlockSet.OBSERVER, emulate_observer_bug=False)
+        merged = 0  # runs under the quirk whose placed shapes are fewer than their decoded ones
+        for bug in (True, False):
+            calls.clear()
+            out = tmp_path / str(bug)
+            logs = run_campaign(tiny_config(out, method=Method.PF, budget=MEMO_BUDGETS[Method.PF], seed_base=0, emulate_observer_bug=bug))
+            first = logs[0].evaluations
+            runs = (calls[:first], calls[first:])
+            assert runs[1][0][1] is not runs[0][0][1]
+            simulated_by = (runs[0][0][3], runs[1][0][3], len(simulated))  # before each run, and after both
+            for i, (log, evaluated) in enumerate(zip(logs, runs)):
+                assert len(evaluated) == log.evaluations
+                memo = evaluated[0][1]
+                assert evaluated[0][2] == 0  # each run starts with an empty memo
+                assert all(entry[1] is memo for entry in evaluated)
+                decoded = [tuple(decode(genome, unrewritten)) for genome, *_ in evaluated]
+                shapes = [tuple(apply_observer_bug(list(shape))) for shape in decoded] if bug else decoded
+                for row in read_csv(out / "runs" / f"run_{i:03d}" / "log.csv"):
+                    assert int(row["distinct_shapes"]) == len(set(shapes[: int(row["evaluations"])]))
+                assert simulated_by[i + 1] - simulated_by[i] == len(set(shapes))
+                merged += len(set(shapes)) < len(set(decoded))
+            assert simulated_by[2] - simulated_by[0] < len(calls)
+        assert merged > 0  # guards against a vacuous pass: some run merged Up and North observers
+
+    @pytest.mark.parametrize("bug, simulations", [(True, 1), (False, 2)])
+    def test_up_and_north_observers_share_a_memo_entry_under_the_quirk(self, monkeypatch, bug, simulations):
+        import voxelflight.search as search
+
+        simulated = count_simulations(monkeypatch)
+        cfg = DecodeConfig(BlockSet.OBSERVER, emulate_observer_bug=bug)
+        shapes = [
+            [BlockPlacement((1, 0, 1), BlockKind.PISTON, Orientation.UP), BlockPlacement((1, 1, 1), BlockKind.OBSERVER, facing)]
+            for facing in (Orientation.UP, Orientation.NORTH)
+        ]
+        genomes = [genome_for_shape(shape, DecodeConfig(BlockSet.OBSERVER, emulate_observer_bug=False)) for shape in shapes]
+        memo = {}
+        outcomes = [search.evaluate(genome, cfg, TickConfig(), FitnessConfig(), memo) for genome in genomes]
+        assert len(simulated) == len(memo) == simulations
+        assert (outcomes[0].shape == outcomes[1].shape) is bug
 
 
 class TestArchivePersistence:
@@ -283,13 +315,13 @@ class TestArchivePersistence:
         with open(os.path.join(fixtures_dir, "reference_flyer.shape")) as fh:
             shape = parse_shape(fh.read())
         genome = genome_for_shape(shape, DecodeConfig(block_set=BlockSet.OBSERVER))
-        original = DecodeConfig(block_set=BlockSet.ORIGINAL)
+        original = DecodeConfig(block_set=BlockSet.ORIGINAL, emulate_observer_bug=False)
         decoded = decode(genome, original)
         assert decoded != shape  # the two block sets read these genes differently
         layout = ArchiveLayout(Characterization.PISTON_ORIENTATION)
         archive = Archive()
         bin_index = layout.bin_index(layout.descriptor(decoded))
-        archive.insert(bin_index, genome, evaluate(genome, original, TickConfig(emulate_observer_bug=False), FitnessConfig()), 1)
+        archive.insert(bin_index, genome, evaluate(genome, original, TickConfig(), FitnessConfig()), 1)
         archive_dir = str(tmp_path / "archive")
         save_archive(archive, archive_dir, cfg, seed=0, evaluations=1)
 
@@ -301,6 +333,35 @@ class TestArchivePersistence:
         assert f"# fitness {stored}" in out.read_text().splitlines()
         loaded = load_manifest_config(archive_dir)
         assert (loaded.method, loaded.block_set, loaded.emulate_observer_bug) == (Method.ME_PO, BlockSet.ORIGINAL, False)
+
+    @pytest.mark.parametrize("bug", [True, False], ids=["quirk", "no-quirk"])
+    def test_export_writes_the_simulated_observer_facings(self, tmp_path, bug):
+        plain = DecodeConfig(BlockSet.OBSERVER, emulate_observer_bug=False)
+        quirk = DecodeConfig(BlockSet.OBSERVER)
+        fit = lambda genome, cfg: evaluate(genome, cfg, TickConfig(), FitnessConfig()).fitness  # noqa: E731
+        with pytest.MonkeyPatch.context() as mp:
+            mp.syspath_prepend(BENCH)
+            import corpus
+        with open(os.path.join(BENCH, "corpus.txt")) as fh:
+            _seed, sections = corpus.parse_corpus(voxelflight, fh.read())
+        # The benchmark's first harvested genome whose score the quirk changes: it holds an Up or Down observer.
+        genome = next(g for g in sections["harvest"] if fit(g, plain) != fit(g, quirk))
+        cfg = quirk if bug else plain
+        layout = ArchiveLayout(Characterization.PISTON_ORIENTATION)
+        archive = Archive()
+        bin_index = layout.bin_index(layout.descriptor(decode(genome, cfg)))
+        archive.insert(bin_index, genome, evaluate(genome, cfg, TickConfig(), FitnessConfig()), 1)
+        save_archive(archive, str(tmp_path / "archive"), tiny_config(tmp_path, runs=1, emulate_observer_bug=bug), seed=0, evaluations=1)
+
+        out = tmp_path / "export.shape"
+        assert main(["export", "--in", str(tmp_path), "--bin", str(bin_index), "--out", str(out)]) == 0
+        exported = parse_shape(out.read_text())
+        up_or_down = [p for p in exported if p.kind is BlockKind.OBSERVER and p.orient in (Orientation.UP, Orientation.DOWN)]
+        assert exported == (apply_observer_bug(decode(genome, plain)) if bug else decode(genome, plain))
+        assert bool(up_or_down) is not bug
+        manifest = (tmp_path / "archive" / "manifest.txt").read_text().splitlines()
+        stored = next(line.split()[2] for line in manifest if line.startswith(f"bin {bin_index} "))
+        assert repr(evaluate_shape(exported, TickConfig(), FitnessConfig()).fitness) == stored
 
     def test_export_missing_bin(self, tmp_path, fixtures_dir):
         archive, bin_index, _, _ = self._flyer_archive(fixtures_dir)
@@ -378,7 +439,7 @@ class TestCli:
         assert capsys.readouterr().out == "".join(shown)
         assert shown[:4] == ["method: me-po\n", "block_set: observer\n", "runs: 1\n", "success_count: 0\n"]
         assert "  EAST  0 run(s)\n" in shown
-        assert shown[-1] == "first flights (rounded up to log interval): never\n"
+        assert shown[-1] == "first flights (first log.csv row at or after the flight): never\n"
 
     @pytest.mark.parametrize("budget, total", [
         (["--method", "me-po", "--init-samples", "10", "--evals", "15", "--log-interval", "10"], 25),

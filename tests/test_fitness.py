@@ -158,7 +158,8 @@ class TestEvaluate:
             assert result.fitness >= 0.0
 
     def test_observer_bug_applies_at_placement(self):
-        # An up-facing observer decodes as such but simulates facing north.
+        # An up-facing observer handed to evaluate_shape is placed as given:
+        # the quirk applies when a genome is decoded.
         shape = [BlockPlacement((1, 1, 1), K.OBSERVER, O.UP)]
         result = evaluate_shape(shape, TICK, FIT)
         assert result.flew is False  # total evaluation, no crash
@@ -248,10 +249,9 @@ def poll_cases():
     cases = [(genome, observer, TICK) for genome in sections["flyer"] + sections["harvest"]]
     rng = np.random.default_rng(37)
     for block_set in BlockSet:
-        cfg = DecodeConfig(block_set=block_set)
         for bug in (True, False):
-            tick_cfg = TickConfig(emulate_observer_bug=bug)
-            cases += [(random_genome(rng, cfg.genome_length), cfg, tick_cfg) for _ in range(300)]
+            cfg = DecodeConfig(block_set, bug)
+            cases += [(random_genome(rng, cfg.genome_length), cfg, TICK) for _ in range(300)]
     return cases
 
 

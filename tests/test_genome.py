@@ -15,6 +15,7 @@ from voxelflight import (
     BlockSet,
     DecodeConfig,
     Orientation,
+    apply_observer_bug,
     crossover,
     decode,
     genome_from_line,
@@ -28,7 +29,8 @@ from voxelflight.genome import shape_key
 from helpers import reference_decode, reference_mutate
 
 CFG_ORIG = DecodeConfig(block_set=BlockSet.ORIGINAL)
-CFG_OBS = DecodeConfig(block_set=BlockSet.OBSERVER)
+CFG_OBS = DecodeConfig(block_set=BlockSet.OBSERVER, emulate_observer_bug=False)
+CFG_QUIRK = DecodeConfig(block_set=BlockSet.OBSERVER)
 
 
 def genome_with_triples(triples, length=81):
@@ -150,6 +152,34 @@ def one_block_shapes(cfg):
                 g = np.zeros(cfg.genome_length)
                 g[3 * cell : 3 * cell + 3] = (1.0, (kind + 0.5) / k, (orient + 0.5) / 6)
                 yield decode(g, cfg)
+
+
+class TestObserverQuirkAtDecode:
+    """Under the observer quirk `decode` returns the placed shape: an Up or
+    Down observer decodes facing North, as the very placement object the
+    decoder without the quirk returns for a North-facing observer there."""
+
+    def test_decodes_the_placed_shape_from_the_plain_table(self):
+        plain_objects = {id(p) for shape in one_block_shapes(CFG_OBS) for p in shape}
+        rng = np.random.default_rng(41)
+        genomes = [random_genome(rng, CFG_QUIRK.genome_length) for _ in range(300)]
+        triples = list(itertools.product(boundary_genes(), repeat=3))
+        genomes += [genome_with_triples(triples[i : i + 27]) for i in range(0, len(triples), 27)]
+        rewritten = 0
+        for g in genomes:
+            plain, placed = decode(g, CFG_OBS), decode(g, CFG_QUIRK)
+            assert placed == apply_observer_bug(plain) == apply_observer_bug(placed)
+            assert not any(p.kind is BlockKind.OBSERVER and p.orient in (Orientation.UP, Orientation.DOWN) for p in placed)
+            assert all(id(p) in plain_objects for p in placed)
+            rewritten += placed != plain
+        assert rewritten > len(genomes) // 4  # guards against a vacuous pass
+
+    def test_original_set_ignores_the_quirk(self):
+        rng = np.random.default_rng(43)
+        for _ in range(100):
+            g = random_genome(rng, CFG_ORIG.genome_length)
+            on, off = decode(g, CFG_ORIG), decode(g, DecodeConfig(BlockSet.ORIGINAL, emulate_observer_bug=False))
+            assert all(a is b for a, b in zip(on, off, strict=True))
 
 
 class TestShapeKey:

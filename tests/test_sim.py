@@ -7,9 +7,12 @@ exactly.
 """
 
 import copy
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voxelflight import (
     Block,
@@ -24,6 +27,7 @@ from voxelflight import (
     compute_power,
     compute_push_set,
     decode,
+    parse_shape,
     place_shape,
     random_genome,
     run_until,
@@ -36,6 +40,7 @@ from helpers import (
     TickEvent,
     absolute_times,
     absolute_world,
+    add,
     reference_immovable,
     reference_power,
     reference_run_until,
@@ -420,17 +425,16 @@ class TestReferenceFlyer:
 
 def random_worlds(count, seed):
     """Freshly placed worlds from uniform random genomes: `count` per block
-    set and observer-bug setting, with the setting they run under."""
+    set and observer-bug setting, each decoded under it, with the
+    `TickConfig` they run under."""
     rng = np.random.default_rng(seed)
     worlds = []
     for block_set in BlockSet:
         for bug in (True, False):
-            cfg = DecodeConfig(block_set=block_set)
+            cfg = DecodeConfig(block_set, bug)
             for _ in range(count):
                 shape = decode(random_genome(rng, cfg.genome_length), cfg)
-                if bug:
-                    shape = apply_observer_bug(shape)
-                worlds.append((place_shape(WorldState(), shape), TickConfig(emulate_observer_bug=bug)))
+                worlds.append((place_shape(WorldState(), shape), TickConfig()))
     return worlds
 
 
@@ -1141,6 +1145,45 @@ class TestCycleKey:
         # Guards against a vacuous pass: filed worlds that share their
         # predecessor's blocks and scan, and filed worlds whose blocks moved.
         assert shared > 0 and changed > 0
+
+
+@pytest.fixture(scope="module")
+def translation_worlds(pf_harvest):
+    """The PF harvest, random observer-set worlds and the sim fixtures, the
+    reference flyer among them, each with the `TickConfig` it runs under."""
+    with open(os.path.join(os.path.dirname(__file__), "fixtures", "reference_flyer.shape")) as fh:
+        flyer = parse_shape(fh.read())
+    return pf_harvest + random_observer_worlds(100, seed=19) + [(w, CFG) for w in sim_fixtures(flyer)]
+
+
+class TestTranslationEquivariance:
+    """The pinned rules name no position, and same-tick events fire in an
+    order a shift keeps (scheduling order, pistons by position): a world
+    shifted by any offset steps as the shifted world, tick by tick."""
+
+    def test_shifted_world_has_the_shifted_history(self, translation_worlds):
+        # The worlds are not an argument of the hypothesis test, so a
+        # failure reports the offset alone, not a repr of every world.
+        ticks = {"moved": 0, "events": 0, "pulses": 0}
+
+        @settings(max_examples=4, deadline=None)
+        @given(offset=st.tuples(*[st.integers(-10**6, 10**6)] * 3))
+        def shifted_histories(offset):
+            for world, cfg in translation_worlds:
+                near, far = world, translated(world, offset)
+                for _ in range(200):
+                    near, near_moved = step(near, cfg)
+                    far, far_moved = step(far, cfg)
+                    shifted = translated(near, offset)
+                    assert far_moved == {add(cell, offset) for cell in near_moved}
+                    assert (far.tick, far.blocks, far.events, far.pulses) == (shifted.tick, shifted.blocks, shifted.events, shifted.pulses)
+                    ticks["moved"] += bool(near_moved)
+                    ticks["events"] += any(near.events)
+                    ticks["pulses"] += any(near.pulses)
+
+        shifted_histories()
+        # Guards against a vacuous pass: ticks that moved blocks, with pending events and with pulses.
+        assert min(ticks.values()) > 0
 
 
 class TestTickIndependence:
