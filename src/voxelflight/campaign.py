@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import os
 import shutil
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -40,14 +40,15 @@ class Method(Enum):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    method: Method = Method.ME_PO
-    block_set: BlockSet = BlockSet.OBSERVER
-    runs: int = 30
-    seed_base: int = 0
-    budget: SearchBudget = field(default_factory=SearchBudget)
-    log_interval: int = 100
-    emulate_observer_bug: bool = True
-    out_dir: str = "out"
+    """A campaign's settings, every one given: the `run` parser (`cli`) holds their defaults."""
+
+    method: Method
+    decode: DecodeConfig
+    runs: int
+    seed_base: int
+    budget: SearchBudget
+    log_interval: int
+    out_dir: str
 
     def __post_init__(self):
         if self.runs < 1:
@@ -69,10 +70,10 @@ def save_archive(archive: Archive, path: str, cfg: ExperimentConfig, seed: int, 
     lines = [
         f"characterization = {cfg.method.characterization.value}",
         f"method = {cfg.method.value}",
-        f"block_set = {cfg.block_set.value}",
+        f"block_set = {cfg.decode.block_set.value}",
         f"seed = {seed}",
         f"evaluations = {evaluations}",
-        f"emulate_observer_bug = {str(cfg.emulate_observer_bug).lower()}",
+        f"emulate_observer_bug = {str(cfg.decode.emulate_observer_bug).lower()}",
         "columns = bin,fitness,discovered_eval,flew,direction",
     ]
     for index in sorted(archive.bins):
@@ -85,12 +86,10 @@ def save_archive(archive: Archive, path: str, cfg: ExperimentConfig, seed: int, 
         fh.write("\n".join(lines) + "\n")
 
 
-def load_manifest_config(path: str) -> ExperimentConfig:
-    """The method, block set and observer-bug setting an archive was made with.
-
-    A missing or unknown setting, or a method without an archive layout, is a
-    `ValueError` naming the manifest and the key.
-    """
+def load_manifest(path: str) -> tuple[ArchiveLayout, DecodeConfig]:
+    """The archive layout and the decoding an archive was made with. A missing
+    or unknown setting, a method without an archive layout, or a characterization
+    other than the method's is a `ValueError` naming the manifest and the key."""
     manifest = os.path.join(path, "manifest.txt")
     with open(manifest) as fh:
         values = dict(line.split(" = ", 1) for line in fh.read().splitlines() if " = " in line)
@@ -106,9 +105,11 @@ def load_manifest_config(path: str) -> ExperimentConfig:
     method = setting("method", Method)
     if method.characterization is None:
         raise ValueError(f"{manifest}: method: {method.value!r} has no archive layout")
-    block_set = setting("block_set", BlockSet)
-    bug = setting("emulate_observer_bug", {"true": True, "false": False}.__getitem__)
-    return ExperimentConfig(method=method, block_set=block_set, emulate_observer_bug=bug)
+    characterization = setting("characterization", Characterization)
+    if characterization is not method.characterization:
+        raise ValueError(f"{manifest}: characterization: {characterization.value!r} does not match method {method.value!r}")
+    bug = {"true": True, "false": False}.__getitem__
+    return ArchiveLayout(characterization), DecodeConfig(setting("block_set", BlockSet), setting("emulate_observer_bug", bug))
 
 
 def load_archive_genome(path: str, bin_index: int) -> Genome:
@@ -128,19 +129,18 @@ def save_population(population: Population, path: str) -> None:
 
 def run_single(cfg: ExperimentConfig, seed: int, run_dir: str) -> RunLog:
     """One search run; writes log.csv plus an archive or population snapshot under `run_dir`."""
-    decode_cfg = DecodeConfig(cfg.block_set, cfg.emulate_observer_bug)
     tick_cfg = TickConfig()
     fit_cfg = FitnessConfig()
     os.makedirs(run_dir, exist_ok=True)
     if cfg.method is Method.PF:
         population, log = mu_plus_lambda_run(
-            cfg.budget, decode_cfg, tick_cfg, fit_cfg, seed, log_interval=cfg.log_interval,
+            cfg.budget, cfg.decode, tick_cfg, fit_cfg, seed, log_interval=cfg.log_interval,
         )
         save_population(population, os.path.join(run_dir, "population.txt"))
     else:
         layout = ArchiveLayout(cfg.method.characterization)
         archive, log = map_elites_run(
-            cfg.budget, layout, decode_cfg, tick_cfg, fit_cfg, seed, log_interval=cfg.log_interval,
+            cfg.budget, layout, cfg.decode, tick_cfg, fit_cfg, seed, log_interval=cfg.log_interval,
         )
         save_archive(archive, os.path.join(run_dir, "archive"), cfg, seed, log.evaluations)
     with open(os.path.join(run_dir, "log.csv"), "w") as fh:
@@ -168,7 +168,7 @@ def write_summary(cfg: ExperimentConfig, logs: list[RunLog]) -> None:
     with open(os.path.join(cfg.out_dir, "summary.csv"), "w") as fh:
         fh.write("method,block_set,runs,success_count,success_pct,avg_distinct_directions,max_distinct_directions\n")
         fh.write(
-            f"{cfg.method.value},{cfg.block_set.value},{cfg.runs},{successes},"
+            f"{cfg.method.value},{cfg.decode.block_set.value},{cfg.runs},{successes},"
             f"{100.0 * successes / cfg.runs!r},{sum(distinct) / cfg.runs!r},{max(distinct, default=0)}\n"
         )
     with open(os.path.join(cfg.out_dir, "directions.csv"), "w") as fh:
@@ -184,13 +184,15 @@ def write_summary(cfg: ExperimentConfig, logs: list[RunLog]) -> None:
             fh.write(f"{i},{cfg.seed_base + i},{rounded},{'never' if exact is None else exact},{log.best_fitness!r}\n")
 
 
-def export_shape_file(cfg: ExperimentConfig, archive_dir: str, bin_index: int, out_path: str) -> None:
-    """Decode a stored occupant and write it in the shape text format, as it
-    is placed (and so simulated) under the run's observer-bug setting."""
-    genome = load_archive_genome(archive_dir, bin_index)
-    shape = decode(genome, DecodeConfig(cfg.block_set, cfg.emulate_observer_bug))
+def export_shape_file(run_dir: str, bin_index: int, out_path: str) -> None:
+    """Decode a run's stored occupant with its manifest's settings and write
+    it in the shape text format, as it is placed (and so simulated)."""
+    if os.path.exists(os.path.join(run_dir, "population.txt")):
+        raise ValueError(f"{run_dir}: a pf run keeps population.txt, not an archive to export from")
+    archive_dir = os.path.join(run_dir, "archive")
+    layout, decode_cfg = load_manifest(archive_dir)
+    shape = decode(load_archive_genome(archive_dir, bin_index), decode_cfg)
     result = evaluate_shape(shape, TickConfig(), FitnessConfig())
-    layout = ArchiveLayout(cfg.method.characterization)
     header = [
         f"bin {bin_index}",
         f"fitness {result.fitness!r}",

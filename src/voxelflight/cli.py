@@ -5,14 +5,15 @@ Subcommands:
     report  print a campaign from its summary CSVs (what `run` prints), or
             compare sibling campaigns with pairwise Fisher exact tests
             (Bonferroni-adjusted)
-    export  decode one stored archive occupant (with its manifest's settings) into the shape text format
+    export  decode one stored archive occupant of a run directory (with its manifest's settings) into the shape text format
     replay  re-evaluate a serialized genome and print its result
 
 Any `run` flag may also come from a config file of `key = value` lines (`#`
 at the start of a line or after whitespace starts a comment), keyed by the
 flag's destination; a key may appear once. Command line flags override file
-values. The `run` parser is the only table of these settings: the config
-reader and the `config.txt` echo are derived from it.
+values. The `run` parser is the only table of these settings and their
+defaults; `ExperimentConfig` and `DecodeConfig`'s block set have none. The
+config reader and the `config.txt` echo are derived from it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .campaign import (
     ExperimentConfig,
     Method,
     export_shape_file,
-    load_manifest_config,
     run_campaign,
 )
 from .fitness import FitnessConfig, evaluate
@@ -130,12 +130,11 @@ def _experiment_config(values: dict) -> ExperimentConfig:
     )
     return ExperimentConfig(
         method=method,
-        block_set=BlockSet(values["block_set"]),
+        decode=DecodeConfig(BlockSet(values["block_set"]), values["emulate_observer_bug"]),
         runs=values["runs"],
         seed_base=values["seed"],
         budget=budget,
         log_interval=values["log_interval"],
-        emulate_observer_bug=values["emulate_observer_bug"],
         out_dir=values["out"],
     )
 
@@ -235,10 +234,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    archive_dir = os.path.join(args.in_dir, "archive")
-    if os.path.exists(os.path.join(args.in_dir, "population.txt")):
-        raise ValueError(f"{args.in_dir}: a pf run keeps population.txt, not an archive to export from")
-    export_shape_file(load_manifest_config(archive_dir), archive_dir, args.bin, args.out)
+    export_shape_file(args.in_dir, args.bin, args.out)
     print(f"wrote {args.out}")
     return 0
 

@@ -31,7 +31,7 @@ class DecodeConfig:
     placement quirk, under which an observer facing Up or Down decodes (and
     so is placed) facing North. The shape is the pinned SPAWN_BOX_SIZE cube."""
 
-    block_set: BlockSet = BlockSet.ORIGINAL
+    block_set: BlockSet
     emulate_observer_bug: bool = True
 
     volume: ClassVar[int] = SPAWN_BOX_SIZE**3

@@ -3,7 +3,7 @@ from typing import NamedTuple
 import numpy as np
 
 from voxelflight import Archive, BlockPlacement, DecodeConfig, Orientation, TickConfig, WorldState, step
-from voxelflight.blocks import ORIENTATION_ORDER, Block, BlockKind, Vec3, _new, neighbors6
+from voxelflight.blocks import ORIENTATION_ORDER, SPAWN_BOX_SIZE, Block, BlockKind, Vec3, _new, neighbors6
 from voxelflight.blocks import TickEvent as QueuedEvent  # the program's event, without a due tick
 from voxelflight.genome import PRESENCE_THRESHOLD
 
@@ -96,6 +96,46 @@ def translated(world: WorldState, offset) -> WorldState:
         world.tick,
         tuple(tuple(e._replace(pos=add(e.pos, offset)) for e in batch) for batch in world.events),
         tuple(tuple(add(cell, offset) for cell in batch) for batch in world.pulses),
+    )
+
+
+# The turns and mirrors about the vertical axis through the spawn box's
+# centre, each as the matrix (a, b, c, d) of (x, z) -> (a*x + b*z, c*x + d*z)
+# about that axis: the quarter, half and three-quarter turns, then the
+# east-west, north-south and two diagonal mirrors. The identity is left out.
+TURNS_AND_MIRRORS = {
+    "quarter-turn": (0, -1, 1, 0),
+    "half-turn": (-1, 0, 0, -1),
+    "three-quarter-turn": (0, 1, -1, 0),
+    "east-west-mirror": (-1, 0, 0, 1),
+    "north-south-mirror": (1, 0, 0, -1),
+    "diagonal-mirror": (0, 1, 1, 0),
+    "anti-diagonal-mirror": (0, -1, -1, 0),
+}
+
+
+def turned_cell(p: Vec3, matrix) -> Vec3:
+    """A cell turned or mirrored by `matrix` (see `TURNS_AND_MIRRORS`)."""
+    a, b, c, d = matrix
+    axis = SPAWN_BOX_SIZE // 2
+    x, z = p[0] - axis, p[2] - axis
+    return (a * x + b * z + axis, p[1], c * x + d * z + axis)
+
+
+def turned(world: WorldState, matrix) -> WorldState:
+    """The same world turned or mirrored by `matrix` (see `TURNS_AND_MIRRORS`):
+    every position and facing of its blocks and events, and every pulse cell."""
+    a, b, c, d = matrix
+
+    def facing(orient: Orientation) -> Orientation:
+        x, y, z = orient.vector
+        return Orientation((a * x + b * z, y, c * x + d * z))
+
+    return WorldState(
+        {turned_cell(p, matrix): block._replace(orient=facing(block.orient)) for p, block in world.blocks.items()},
+        world.tick,
+        tuple(tuple(e._replace(pos=turned_cell(e.pos, matrix), orient=facing(e.orient)) for e in batch) for batch in world.events),
+        tuple(tuple(turned_cell(cell, matrix) for cell in batch) for batch in world.pulses),
     )
 
 

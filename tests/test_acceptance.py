@@ -242,7 +242,7 @@ def determinism_runs(tmp_path_factory):
     budget = SearchBudget(init_samples=100, offspring=2000)
     archives = {}
     trees = {}
-    cfg = ExperimentConfig(method=Method.ME_PO, block_set=BlockSet.OBSERVER, runs=1, budget=budget)
+    cfg = ExperimentConfig(method=Method.ME_PO, decode=DEC_OBS, runs=1, seed_base=5150, budget=budget, log_interval=100, out_dir="unused")
     with pytest.MonkeyPatch.context() as mp:
         accepted = record_accepted_inserts(mp)
         runs = {1: map_elites_run(budget, PO, DEC_OBS, TICK, FIT, seed=5150, workers=1)}

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import subprocess
@@ -25,12 +26,14 @@ from voxelflight import (
     decode,
     evaluate,
     evaluate_shape,
+    genome_from_line,
     genome_to_line,
     parse_shape,
     run_campaign,
 )
 from voxelflight.campaign import (
-    load_manifest_config,
+    export_shape_file,
+    load_manifest,
     round_up_to_interval,
     run_single,
     save_archive,
@@ -45,10 +48,10 @@ BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TINY = SearchBudget(init_samples=15, offspring=30, mu=4, lam=4, generations=4)
 
 
-def tiny_config(out_dir, **kw):
+def tiny_config(out_dir, block_set=BlockSet.OBSERVER, emulate_observer_bug=True, **kw):
     defaults = dict(
         method=Method.ME_PO,
-        block_set=BlockSet.OBSERVER,
+        decode=DecodeConfig(block_set, emulate_observer_bug),
         runs=2,
         seed_base=100,
         budget=TINY,
@@ -331,8 +334,7 @@ class TestArchivePersistence:
         manifest = (tmp_path / "archive" / "manifest.txt").read_text().splitlines()
         stored = next(line.split()[2] for line in manifest if line.startswith(f"bin {bin_index} "))
         assert f"# fitness {stored}" in out.read_text().splitlines()
-        loaded = load_manifest_config(archive_dir)
-        assert (loaded.method, loaded.block_set, loaded.emulate_observer_bug) == (Method.ME_PO, BlockSet.ORIGINAL, False)
+        assert load_manifest(archive_dir) == (ArchiveLayout(Characterization.PISTON_ORIENTATION), original)
 
     @pytest.mark.parametrize("bug", [True, False], ids=["quirk", "no-quirk"])
     def test_export_writes_the_simulated_observer_facings(self, tmp_path, bug):
@@ -367,11 +369,9 @@ class TestArchivePersistence:
         archive, bin_index, _, _ = self._flyer_archive(fixtures_dir)
         cfg = tiny_config(tmp_path, runs=1)
         save_archive(archive, str(tmp_path / "archive"), cfg, seed=0, evaluations=1)
-        from voxelflight.campaign import export_shape_file
-
         message = f"no occupant stored for bin {bin_index + 1} under {tmp_path / 'archive'}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            export_shape_file(cfg, str(tmp_path / "archive"), bin_index + 1, str(tmp_path / "x.shape"))
+            export_shape_file(str(tmp_path), bin_index + 1, str(tmp_path / "x.shape"))
 
     def test_export_of_empty_bin_exits_2_with_one_line(self, tmp_path, capsys, fixtures_dir):
         # The empty-bin case of TestCli.test_user_errors_exit_2_with_one_line;
@@ -409,6 +409,8 @@ class TestArchivePersistence:
         ("method", "pf", "method: 'pf' has no archive layout"),
         ("method", "bogus", "method: invalid value 'bogus'"),
         ("block_set", "bogus", "block_set: invalid value 'bogus'"),
+        ("characterization", "block-count", "characterization: 'block-count' does not match method 'me-po'"),
+        ("characterization", "bogus", "characterization: invalid value 'bogus'"),
     ])
     def test_export_of_bad_manifest_exits_2_naming_it(self, tmp_path, capsys, fixtures_dir, key, value, message):
         # Export decodes and describes the bin with the manifest's settings; none of these rows gives it a layout and block set.
@@ -421,6 +423,63 @@ class TestArchivePersistence:
         assert console_main(["export", "--in", str(tmp_path), "--bin", str(bin_index), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"voxelflight: error: {manifest}: {message}\n"
         assert not out.exists()
+
+
+ARCHIVE_METHODS = [method for method in Method if method.characterization is not None]
+DECODINGS = [DecodeConfig(block_set, bug) for block_set in BlockSet for bug in (True, False)]
+
+
+def decoding_id(cfg):
+    return f"{cfg.block_set.value}-{'quirk' if cfg.emulate_observer_bug else 'no-quirk'}"
+
+
+class TestOneTableOfDefaults:
+    """The `run` parser is the only table of a run's defaults: `ExperimentConfig`
+    takes every value and carries the run's one `DecodeConfig`, which needs
+    its block set, from the command line to the manifest and back to `export`."""
+
+    def test_experiment_config_has_no_defaults(self):
+        fields = dataclasses.fields(ExperimentConfig)
+        assert [f.name for f in fields] == ["method", "decode", "runs", "seed_base", "budget", "log_interval", "out_dir"]
+        assert [f.name for f in fields if f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING] == []
+
+    def test_decode_config_needs_its_block_set(self):
+        with pytest.raises(TypeError):
+            DecodeConfig()
+        assert DecodeConfig(BlockSet.ORIGINAL) == DecodeConfig(BlockSet.ORIGINAL, emulate_observer_bug=True)
+
+    @pytest.mark.parametrize("decode_cfg", DECODINGS, ids=decoding_id)
+    @pytest.mark.parametrize("method", ARCHIVE_METHODS, ids=lambda m: m.value)
+    def test_manifest_gives_back_the_runs_layout_and_decoding(self, tmp_path, method, decode_cfg):
+        cfg = tiny_config(tmp_path, method=method, decode=decode_cfg)
+        save_archive(Archive(), str(tmp_path / "archive"), cfg, seed=0, evaluations=0)
+        assert load_manifest(str(tmp_path / "archive")) == (ArchiveLayout(method.characterization), decode_cfg)
+
+    @pytest.mark.parametrize("decode_cfg", DECODINGS, ids=decoding_id)
+    def test_every_stored_bin_exports_to_its_fitness_and_bin(self, tmp_path, decode_cfg):
+        run_campaign(tiny_config(tmp_path, method=Method.ME_C, runs=1, decode=decode_cfg))
+        run_dir = tmp_path / "runs" / "run_000"
+        layout = ArchiveLayout(Characterization.BLOCK_COUNT)
+        manifest = (run_dir / "archive" / "manifest.txt").read_text().splitlines()
+        stored = {int(line.split()[1]): line.split()[2] for line in manifest if line.startswith("bin ")}
+        assert len(stored) > 1  # guards against a vacuous pass
+        for bin_index, fitness in stored.items():
+            out = tmp_path / f"{bin_index}.shape"
+            export_shape_file(str(run_dir), bin_index, str(out))
+            text = out.read_text()
+            shape = parse_shape(text)
+            assert repr(evaluate_shape(shape, TickConfig(), FitnessConfig()).fitness) == fitness
+            assert layout.bin_index(layout.descriptor(shape)) == bin_index
+            assert {f"# fitness {fitness}", f"# descriptor {list(layout.descriptor(shape))}"} <= set(text.splitlines())
+
+    @pytest.mark.parametrize("decode_cfg", DECODINGS, ids=decoding_id)
+    def test_every_population_member_re_evaluates_to_its_fitness(self, tmp_path, decode_cfg):
+        run_campaign(tiny_config(tmp_path, method=Method.PF, runs=1, decode=decode_cfg))
+        _header, *members = (tmp_path / "runs" / "run_000" / "population.txt").read_text().splitlines()
+        assert len(members) == TINY.mu
+        for member in members:
+            fitness, genome = member.split(" ", 1)
+            assert repr(evaluate(genome_from_line(genome), decode_cfg, TickConfig(), FitnessConfig()).fitness) == fitness
 
 
 class TestCli:

@@ -47,6 +47,9 @@ from helpers import (
     reference_step,
     settled,
     translated,
+    turned,
+    turned_cell,
+    TURNS_AND_MIRRORS,
     with_absolute_times,
 )
 
@@ -1184,6 +1187,71 @@ class TestTranslationEquivariance:
         shifted_histories()
         # Guards against a vacuous pass: ticks that moved blocks, with pending events and with pulses.
         assert min(ticks.values()) > 0
+
+
+@pytest.fixture(scope="module")
+def symmetry_histories(pf_harvest):
+    """The PF harvest, random observer-set worlds decoded without the
+    observer quirk (so their observers face Up and Down too) and the sim
+    fixtures, the reference flyer among them: how many there are, and the
+    200-tick history, as (world, moved cells) after each step, of each
+    whose history never has two or more events due on one tick."""
+    with open(os.path.join(os.path.dirname(__file__), "fixtures", "reference_flyer.shape")) as fh:
+        reference_flyer = parse_shape(fh.read())
+    rng = np.random.default_rng(20)
+    cfg = DecodeConfig(BlockSet.OBSERVER, emulate_observer_bug=False)
+    shapes = [decode(random_genome(rng, cfg.genome_length), cfg) for _ in range(100)]
+    worlds = pf_harvest + [(place_shape(WorldState(), shape), CFG) for shape in shapes]
+    worlds += [(w, CFG) for w in sim_fixtures(reference_flyer)]
+    histories = []
+    for world, tick_cfg in worlds:
+        history = [(world, set())]
+        while len(history) <= 200 and len(history[-1][0].events[0]) < 2:
+            history.append(step(history[-1][0], tick_cfg))
+        if len(history[-1][0].events[0]) < 2:
+            histories.append((tick_cfg, history))
+    return len(worlds), histories
+
+
+def queues_as_sets(world):
+    """A world's queues with each batch as a set: `_scan` orders the entries
+    of one batch by position, which a turn or mirror reorders."""
+    return [frozenset(batch) for batch in world.events], [frozenset(batch) for batch in world.pulses]
+
+
+class TestTurnAndMirrorEquivariance:
+    """The pinned rules name no axis, but events due on the same tick fire in
+    scheduling order, pistons by position, which a turn or mirror reorders.
+    So whenever a history never has two or more events due on one tick, a
+    world turned or mirrored about the vertical axis through the spawn box's
+    centre steps as the turned or mirrored world, tick by tick, blocks
+    exactly and each queue batch as a set; then that history has no such
+    tick either."""
+
+    @pytest.mark.parametrize("name", TURNS_AND_MIRRORS)
+    def test_turned_world_has_the_turned_history(self, symmetry_histories, name):
+        matrix = TURNS_AND_MIRRORS[name]
+        inputs, histories = symmetry_histories
+        ticks = {"moved": 0, "events": 0, "pulses": 0}
+        up_or_down = 0
+        for cfg, history in histories:
+            world = history[0][0]
+            far = turned(world, matrix)
+            for near, near_moved in history[1:]:
+                far, far_moved = step(far, cfg)
+                expected = turned(near, matrix)
+                assert far_moved == {turned_cell(cell, matrix) for cell in near_moved}
+                assert (far.tick, far.blocks) == (expected.tick, expected.blocks)
+                assert queues_as_sets(far) == queues_as_sets(expected)
+                ticks["moved"] += bool(near_moved)
+                ticks["events"] += any(near.events)
+                ticks["pulses"] += any(near.pulses)
+            up_or_down += any(b.kind is K.OBSERVER and b.orient in (O.UP, O.DOWN) for b in world.blocks.values())
+        # Guards against a vacuous pass: a fixed share of the inputs qualify,
+        # their histories move blocks and hold events and pulses, and some
+        # start with observers facing Up or Down.
+        assert len(histories) >= inputs // 3
+        assert min(ticks.values()) > 0 and up_or_down > 0
 
 
 class TestTickIndependence:
