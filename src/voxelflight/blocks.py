@@ -176,7 +176,8 @@ class TickConfig:
     push_limit: ClassVar[int] = 12
 
 
-@dataclass
+# Slotted: every step, cycle projection and copy builds one.
+@dataclass(slots=True)
 class WorldState:
     """Sparse voxel world plus its pending piston events and observer pulses.
 

@@ -13,7 +13,8 @@ at the start of a line or after whitespace starts a comment), keyed by the
 flag's destination; a key may appear once. Command line flags override file
 values. The `run` parser is the only table of these settings and their
 defaults; `ExperimentConfig` and `DecodeConfig`'s block set have none. The
-config reader and the `config.txt` echo are derived from it.
+config reader and the `config.txt` echo are derived from it, and `replay`
+takes its two decode flags from the same definitions.
 """
 
 from __future__ import annotations
@@ -57,6 +58,20 @@ def parse_config_file(path: str) -> dict[str, str]:
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True, "0": False, "false": False, "no": False, "off": False}
 
 
+# The decode settings, which `run` and `replay` both take: each flag is
+# defined once, so an archived genome replays as its run decoded it.
+def _add_block_set(parser: argparse.ArgumentParser) -> argparse.Action:
+    return parser.add_argument("--block-set", choices=[b.value for b in BlockSet], dest="block_set", default=BlockSet.OBSERVER.value)
+
+
+def _add_observer_bug(parser: argparse.ArgumentParser) -> argparse.Action:
+    return parser.add_argument("--no-observer-bug", action="store_false", dest="emulate_observer_bug", default=True)
+
+
+def _decode_config(values: dict) -> DecodeConfig:
+    return DecodeConfig(BlockSet(values["block_set"]), values["emulate_observer_bug"])
+
+
 def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser, list[argparse.Action]]:
     """The parser, its `run` subparser, and the `run` settings: the one table of their keys, types, choices and defaults."""
     parser = argparse.ArgumentParser(prog="voxelflight", description="Evolve voxel flying machines in a deterministic piston simulator")
@@ -66,7 +81,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser, l
     settings = [
         run.add_argument("--config", help="config file of key = value lines"),
         run.add_argument("--method", choices=[m.value for m in Method], default=Method.ME_PO.value),
-        run.add_argument("--block-set", choices=[b.value for b in BlockSet], dest="block_set", default=BlockSet.OBSERVER.value),
+        _add_block_set(run),
         run.add_argument("--runs", type=int, default=1),
         run.add_argument("--evals", type=int, default=60000, help="offspring budget (PF derives generations as evals/lambda)"),
         run.add_argument("--init-samples", type=int, dest="init_samples", default=100),
@@ -76,7 +91,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser, l
         run.add_argument("--crossover-prob", type=float, dest="crossover_prob", default=0.5),
         run.add_argument("--seed", type=int, default=0),
         run.add_argument("--log-interval", type=int, dest="log_interval", default=100),
-        run.add_argument("--no-observer-bug", action="store_false", dest="emulate_observer_bug", default=True),
+        _add_observer_bug(run),
         run.add_argument("--out", default="out"),
     ]
 
@@ -90,8 +105,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser, l
 
     replay = sub.add_parser("replay", help="re-evaluate a serialized genome")
     replay.add_argument("--genome", required=True, help="file holding one genome line")
-    replay.add_argument("--block-set", choices=[b.value for b in BlockSet], dest="block_set", default=BlockSet.OBSERVER.value)
-    replay.add_argument("--no-observer-bug", action="store_false", dest="emulate_observer_bug", default=True)
+    _add_block_set(replay)
+    _add_observer_bug(replay)
     return parser, run, settings
 
 
@@ -130,7 +145,7 @@ def _experiment_config(values: dict) -> ExperimentConfig:
     )
     return ExperimentConfig(
         method=method,
-        decode=DecodeConfig(BlockSet(values["block_set"]), values["emulate_observer_bug"]),
+        decode=_decode_config(values),
         runs=values["runs"],
         seed_base=values["seed"],
         budget=budget,
@@ -242,8 +257,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
 def _cmd_replay(args: argparse.Namespace) -> int:
     with open(args.genome) as fh:
         genome = genome_from_line(fh.read())
-    decode_cfg = DecodeConfig(BlockSet(args.block_set), args.emulate_observer_bug)
-    result = evaluate(genome, decode_cfg, TickConfig(), FitnessConfig())
+    result = evaluate(genome, _decode_config(vars(args)), TickConfig(), FitnessConfig())
     print("fitness,flew,direction,leftover_count,ticks_used")
     print(result.csv_row())
     if result.com_trajectory:

@@ -108,11 +108,18 @@ def decode(genome: Genome, cfg: DecodeConfig) -> list[BlockPlacement]:
     ]
 
 
+# The kinds whose facing a rule reads: piston bases push along it and
+# observers sense along it. Redstone, slime and quartz blocks decode with a
+# facing that no rule, descriptor or poll reads.
+_FACING_READ = (BlockKind.PISTON, BlockKind.STICKY_PISTON, BlockKind.OBSERVER)
+
 # id of each placement the decode tables hold -> its two key bytes: the cell
-# index, then kind * 6 + orientation. The tables live as long as the process,
-# so no id is reused; the quirk's tables hold no placement of their own.
+# index, then kind * 6 + orientation, with a kind outside `_FACING_READ`
+# keyed as its North-facing placement (North is ordinal 0). The tables live
+# as long as the process, so no id is reused; the quirk's tables hold no
+# placement of their own.
 _KEY_CODES = {
-    id(placement): bytes((cell, placement.kind.ordinal * 6 + placement.orient.ordinal))
+    id(placement): bytes((cell, placement.kind.ordinal * 6 + (placement.orient.ordinal if placement.kind in _FACING_READ else 0)))
     for ((_k, table), _quirk) in _DECODE_TABLES
     for cell, by_kind in enumerate(table)
     for by_orient in by_kind
@@ -122,8 +129,10 @@ _KEY_CODES = {
 
 def shape_key(shape: list[BlockPlacement]) -> bytes:
     """A compact key for a shape `decode` returned: two bytes per block. Two
-    decoded shapes have equal keys iff they are equal. The placements are
-    looked up by id, so no Enum is hashed."""
+    decoded shapes have equal keys iff they are equal once every redstone,
+    slime and quartz block in them faces North: those facings are read by no
+    rule, descriptor or poll, so shapes with equal keys evaluate alike. The
+    placements are looked up by id, so no Enum is hashed."""
     return b"".join(map(_KEY_CODES.__getitem__, map(id, shape)))
 
 

@@ -18,6 +18,15 @@ def add(a: Vec3, b: Vec3) -> Vec3:
     return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
 
 
+# The kinds whose facing no rule, descriptor or poll reads.
+FACING_UNREAD = (BlockKind.REDSTONE_BLOCK, BlockKind.SLIME_BLOCK, BlockKind.QUARTZ_BLOCK)
+
+
+def unread_facings_north(shape) -> list[BlockPlacement]:
+    """`shape` with every redstone, slime and quartz block facing North."""
+    return [p._replace(orient=Orientation.NORTH) if p.kind in FACING_UNREAD else p for p in shape]
+
+
 def genome_for_shape(shape, cfg: DecodeConfig):
     """Build a genome that decodes exactly to `shape` under `cfg`."""
     g = np.full(cfg.genome_length, 0.25)

@@ -41,7 +41,7 @@ from voxelflight.campaign import (
 )
 from voxelflight.cli import _build_parser, console_main, main, parse_config_file
 
-from helpers import genome_for_shape
+from helpers import genome_for_shape, unread_facings_north
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
@@ -228,8 +228,10 @@ class TestShapeMemo:
                 assert last_distinct_shapes(tmp_path / "memo" / "runs" / run) < 0.9 * log.evaluations
 
     def test_counts_match_brute_force(self, monkeypatch, tmp_path):
-        # `distinct_shapes` counts distinct placed shapes: under the observer
-        # quirk, the decoded shapes with Up and Down observers turned North.
+        # `distinct_shapes` counts distinct placed shapes up to the facings no
+        # rule reads: under the observer quirk, the decoded shapes with Up and
+        # Down observers turned North, and under either setting with every
+        # redstone, slime and quartz block facing North.
         import voxelflight.search as search
 
         real_evaluate = search.evaluate
@@ -243,6 +245,7 @@ class TestShapeMemo:
         monkeypatch.setattr(search, "evaluate", recording_evaluate)
         unrewritten = DecodeConfig(BlockSet.OBSERVER, emulate_observer_bug=False)
         merged = 0  # runs under the quirk whose placed shapes are fewer than their decoded ones
+        refaced = 0  # runs whose shapes are fewer than their placed ones
         for bug in (True, False):
             calls.clear()
             out = tmp_path / str(bug)
@@ -257,13 +260,17 @@ class TestShapeMemo:
                 assert evaluated[0][2] == 0  # each run starts with an empty memo
                 assert all(entry[1] is memo for entry in evaluated)
                 decoded = [tuple(decode(genome, unrewritten)) for genome, *_ in evaluated]
-                shapes = [tuple(apply_observer_bug(list(shape))) for shape in decoded] if bug else decoded
+                placed = [tuple(apply_observer_bug(list(shape))) for shape in decoded] if bug else decoded
+                shapes = [tuple(unread_facings_north(shape)) for shape in placed]
                 for row in read_csv(out / "runs" / f"run_{i:03d}" / "log.csv"):
                     assert int(row["distinct_shapes"]) == len(set(shapes[: int(row["evaluations"])]))
                 assert simulated_by[i + 1] - simulated_by[i] == len(set(shapes))
-                merged += len(set(shapes)) < len(set(decoded))
+                merged += len(set(shapes)) < len({tuple(unread_facings_north(shape)) for shape in decoded})
+                refaced += len(set(shapes)) < len(set(placed))
             assert simulated_by[2] - simulated_by[0] < len(calls)
-        assert merged > 0  # guards against a vacuous pass: some run merged Up and North observers
+        # Guards against a vacuous pass: some run merged Up and North
+        # observers, and some merged shapes that differ in unread facings.
+        assert merged > 0 and refaced > 0
 
     @pytest.mark.parametrize("bug, simulations", [(True, 1), (False, 2)])
     def test_up_and_north_observers_share_a_memo_entry_under_the_quirk(self, monkeypatch, bug, simulations):
@@ -535,6 +542,29 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "54.9,true,EAST,1,60" in out
+
+    @pytest.mark.parametrize("flags", [[], ["--block-set", "original"], ["--no-observer-bug"]], ids=["defaults", "original", "no-bug"])
+    def test_replay_decodes_as_run_does(self, tmp_path, monkeypatch, flags):
+        # `replay` given a run's decode flags, or none, decodes under the settings that run decodes under.
+        import voxelflight.cli as cli
+
+        decoded_under = {}
+        real_evaluate = cli.evaluate
+
+        def recording_evaluate(genome, decode_cfg, *cfgs):
+            decoded_under["replay"] = decode_cfg
+            return real_evaluate(genome, decode_cfg, *cfgs)
+
+        monkeypatch.setattr(cli, "run_campaign", lambda cfg: decoded_under.setdefault("run", cfg.decode))
+        monkeypatch.setattr(cli, "_print_campaign", lambda campaign_dir: None)
+        monkeypatch.setattr(cli, "evaluate", recording_evaluate)
+        path = tmp_path / "half.genome"
+        path.write_text(" ".join(["0.5"] * DecodeConfig.genome_length) + "\n")
+        assert main(["run", "--out", str(tmp_path / "run")] + flags) == 0
+        assert main(["replay", "--genome", str(path)] + flags) == 0
+        assert decoded_under["replay"] == decoded_under["run"]
+        if not flags:
+            assert decoded_under["run"] == DecodeConfig(BlockSet.OBSERVER, emulate_observer_bug=True)
 
     @pytest.mark.parametrize("value", ["-0.4", "nan"])
     def test_replay_rejects_genome_values_outside_unit_interval(self, tmp_path, capsys, value):

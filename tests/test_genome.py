@@ -26,7 +26,7 @@ from voxelflight import (
 
 from voxelflight.genome import shape_key
 
-from helpers import reference_decode, reference_mutate
+from helpers import reference_decode, reference_mutate, unread_facings_north
 
 CFG_ORIG = DecodeConfig(block_set=BlockSet.ORIGINAL)
 CFG_OBS = DecodeConfig(block_set=BlockSet.OBSERVER, emulate_observer_bug=False)
@@ -183,27 +183,33 @@ class TestObserverQuirkAtDecode:
 
 
 class TestShapeKey:
+    """A shape is keyed as it is with every redstone, slime and quartz block
+    facing North: no rule, descriptor or poll reads those facings."""
+
     def test_two_bytes_per_placement_and_one_key_per_placement(self):
         placements = {}
         for cfg in (CFG_ORIG, CFG_OBS):
             for shape in one_block_shapes(cfg):
-                [placement] = shape
+                [placement] = unread_facings_north(shape)
                 key = shape_key(shape)
                 assert len(key) == 2
-                # The same key only for an equal placement, under either block set.
+                # The same key only for an equal placement once its unread facing is North, under either block set.
                 assert placements.setdefault(key, placement) == placement
-        assert len(placements) == CFG_OBS.volume * len(CFG_OBS.block_set.members) * 6
+        # One key per cell, kind and read facing: 27 cells * (3 kinds + 3 kinds * 6 facings).
+        assert len(placements) == 567
 
     def test_keys_are_equal_iff_shapes_are(self):
         rng = np.random.default_rng(31)
         genomes = [random_genome(rng, CFG_OBS.genome_length) for _ in range(300)]
         # Nudged copies often decode to the same shape as their source.
         genomes += [np.clip(g + rng.uniform(-0.02, 0.02, g.shape), 0.0, 1.0) for g in genomes]
-        shapes = [tuple(decode(g, CFG_OBS)) for g in genomes]
-        keys = [shape_key(list(shape)) for shape in shapes]
+        decoded = [decode(g, CFG_OBS) for g in genomes]
+        shapes = [tuple(unread_facings_north(shape)) for shape in decoded]
+        keys = [shape_key(shape) for shape in decoded]
         assert all(len(key) == 2 * len(shape) for key, shape in zip(keys, shapes))
         distinct = len(set(shapes))
         assert 300 < distinct < len(shapes)  # both equal and unequal pairs occur
+        assert distinct < len(set(map(tuple, decoded)))  # some unequal decoded shapes share a key
         assert len(set(keys)) == len(set(zip(keys, shapes))) == distinct
 
 

@@ -20,6 +20,8 @@ from voxelflight import (
     BlockPlacement,
     BlockSet,
     DecodeConfig,
+    FitnessConfig,
+    ORIENTATION_ORDER,
     Orientation,
     TickConfig,
     WorldState,
@@ -27,6 +29,8 @@ from voxelflight import (
     compute_power,
     compute_push_set,
     decode,
+    evaluate_shape,
+    genome_from_line,
     parse_shape,
     place_shape,
     random_genome,
@@ -36,6 +40,7 @@ from voxelflight import (
 from voxelflight.sim import _find_cycle, _immovable, _moved_forward, _repeats, _scan
 
 from helpers import (
+    FACING_UNREAD,
     Pulse,
     TickEvent,
     absolute_times,
@@ -906,6 +911,26 @@ def sticky_pull():
     })
 
 
+def slime_column_push():
+    """`TestPushLimitFixture`'s powered piston pushing quartz into a column
+    of three slime blocks: the bottom one recruits the block above it, and
+    that one the next, so the whole column moves East."""
+    world = TestPushLimitFixture()._world(1)
+    for y in range(3):
+        world.blocks[(2, y, 0)] = Block(K.SLIME_BLOCK, O.NORTH)
+    return world
+
+
+def slime_column_pull():
+    """`sticky_pull` with a column of three slime blocks under the quartz:
+    the retraction drags the whole column West."""
+    world = sticky_pull()
+    for y in range(1, 3):
+        world.blocks[(2, y, 0)] = Block(K.SLIME_BLOCK, O.NORTH)
+    world.blocks[(2, 3, 0)] = Block(K.QUARTZ_BLOCK, O.NORTH)
+    return world
+
+
 def sim_fixtures(reference_flyer):
     """The hand-built worlds of this module, each as it starts."""
     extension = TestExtensionFixture()
@@ -917,6 +942,8 @@ def sim_fixtures(reference_flyer):
         TestPushLimitFixture()._world(12),
         blocked_powered_piston(),
         sticky_pull(),
+        slime_column_push(),
+        slime_column_pull(),
         oscillator(),
         observer_fixture.world,
         shuttle(),
@@ -1232,7 +1259,7 @@ class TestTurnAndMirrorEquivariance:
     def test_turned_world_has_the_turned_history(self, symmetry_histories, name):
         matrix = TURNS_AND_MIRRORS[name]
         inputs, histories = symmetry_histories
-        ticks = {"moved": 0, "events": 0, "pulses": 0}
+        ticks = {"moved": 0, "events": 0, "pulses": 0, "moved slime": 0}
         up_or_down = 0
         for cfg, history in histories:
             world = history[0][0]
@@ -1246,12 +1273,53 @@ class TestTurnAndMirrorEquivariance:
                 ticks["moved"] += bool(near_moved)
                 ticks["events"] += any(near.events)
                 ticks["pulses"] += any(near.pulses)
+                ticks["moved slime"] += any(near.blocks[cell].kind is K.SLIME_BLOCK for cell in near_moved if cell in near.blocks)
             up_or_down += any(b.kind is K.OBSERVER and b.orient in (O.UP, O.DOWN) for b in world.blocks.values())
         # Guards against a vacuous pass: a fixed share of the inputs qualify,
-        # their histories move blocks and hold events and pulses, and some
-        # start with observers facing Up or Down.
+        # their histories move blocks and hold events and pulses, some start
+        # with observers facing Up or Down, and slime moves on 5 ticks: one
+        # in each slime column fixture and 3 in the other inputs.
         assert len(histories) >= inputs // 3
-        assert min(ticks.values()) > 0 and up_or_down > 0
+        assert min(ticks.values()) > 0 and ticks["moved slime"] >= 5 and up_or_down > 0
+
+
+def corpus_genomes():
+    """The benchmark corpus's 724 genomes (the reference flyer and its
+    turns, a PF harvest and random genomes), in file order."""
+    with open(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "corpus.txt")) as fh:
+        return [genome_from_line(line) for line in fh.read().splitlines() if line and not line.startswith(("#", "seed", "section"))]
+
+
+class TestUnreadFacings:
+    """No rule, descriptor or poll reads the facing of a redstone, slime or
+    quartz block, so the run memo keys those blocks as facing North
+    (`genome.shape_key`). That is exact because a shape evaluates alike
+    whichever way they face: the whole result, trajectory and exit log
+    included."""
+
+    def test_refaced_shapes_evaluate_alike(self, pf_harvest):
+        corpus = corpus_genomes()
+        shapes = [decode(g, DecodeConfig(BlockSet.OBSERVER, bug)) for g in corpus for bug in (True, False)]
+        shapes += [[BlockPlacement(pos, b.kind, b.orient) for pos, b in world.blocks.items()] for world, _cfg in pf_harvest]
+        rng = np.random.default_rng(22)
+        for block_set in BlockSet:
+            cfg = DecodeConfig(block_set)
+            shapes += [decode(random_genome(rng, cfg.genome_length), cfg) for _ in range(150)]
+        fit_cfg = FitnessConfig()
+        refaced_blocks = moving = flew = 0
+        for shape in shapes:
+            expected = evaluate_shape(shape, CFG, fit_cfg)
+            for _ in range(2):
+                facings = rng.integers(6, size=len(shape)).tolist()
+                refaced = [p._replace(orient=ORIENTATION_ORDER[f]) if p.kind in FACING_UNREAD else p for p, f in zip(shape, facings)]
+                assert evaluate_shape(refaced, CFG, fit_cfg) == expected
+                refaced_blocks += sum(a.orient is not b.orient for a, b in zip(shape, refaced))
+            moving += expected.ticks_used > CFG.ticks_per_second
+            flew += expected.flew
+        # Guards against a vacuous pass: many blocks changed facing, many
+        # shapes kept moving past the first second, and some flew.
+        assert len(shapes) == 2 * len(corpus) + len(pf_harvest) + 300
+        assert refaced_blocks > 10 * len(shapes) and moving > len(shapes) // 4 and flew > 0
 
 
 class TestTickIndependence:
