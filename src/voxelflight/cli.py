@@ -235,16 +235,17 @@ def _cmd_report(args: argparse.Namespace) -> int:
     comparisons = list(combinations(rows, 2))
     if comparisons:
         print("\npairwise Fisher exact tests on success counts:")
-        out_lines = ["a,b,p_raw,p_bonferroni"]
-        for (name_a, va), (name_b, vb) in comparisons:
-            sa, ra = int(va["success_count"]), int(va["runs"])
-            sb, rb = int(vb["success_count"]), int(vb["runs"])
-            p = fisher_exact_2x2(sa, ra - sa, sb, rb - sb)
-            p_adj = bonferroni(p, len(comparisons))
-            print(f"  {name_a} vs {name_b}: p={p:.6g} (Bonferroni x{len(comparisons)}: {p_adj:.6g})")
-            out_lines.append(f"{name_a},{name_b},{p!r},{p_adj!r}")
-        with open(os.path.join(args.in_dir, "comparisons.csv"), "w") as fh:
-            fh.write("\n".join(out_lines) + "\n")
+    out_lines = ["a,b,p_raw,p_bonferroni"]
+    for (name_a, va), (name_b, vb) in comparisons:
+        sa, ra = int(va["success_count"]), int(va["runs"])
+        sb, rb = int(vb["success_count"]), int(vb["runs"])
+        p = fisher_exact_2x2(sa, ra - sa, sb, rb - sb)
+        p_adj = bonferroni(p, len(comparisons))
+        print(f"  {name_a} vs {name_b}: p={p:.6g} (Bonferroni x{len(comparisons)}: {p_adj:.6g})")
+        out_lines.append(f"{name_a},{name_b},{p!r},{p_adj!r}")
+    # Written on every report (the header alone for one campaign), so it never names a campaign that is gone.
+    with open(os.path.join(args.in_dir, "comparisons.csv"), "w") as fh:
+        fh.write("\n".join(out_lines) + "\n")
     return 0
 
 

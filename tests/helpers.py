@@ -5,7 +5,7 @@ import numpy as np
 from voxelflight import Archive, BlockPlacement, DecodeConfig, Orientation, TickConfig, WorldState, step
 from voxelflight.blocks import ORIENTATION_ORDER, SPAWN_BOX_SIZE, Block, BlockKind, Vec3, _new, neighbors6
 from voxelflight.blocks import TickEvent as QueuedEvent  # the program's event, without a due tick
-from voxelflight.genome import PRESENCE_THRESHOLD
+from voxelflight.genome import MUTATION_RATE, PRESENCE_THRESHOLD
 
 _PISTON = BlockKind.PISTON
 _STICKY_PISTON = BlockKind.STICKY_PISTON
@@ -72,6 +72,19 @@ def reference_decode(genome, cfg: DecodeConfig):
         orient = ORIENTATION_ORDER[min(int(orient_gene * 6), 5)]
         shape.append(BlockPlacement(cfg.cell_for_index(i), kind, orient))
     return shape
+
+
+# Row 0 of a genome's draws decides which genes mutate: set to 0.0 it
+# mutates every gene, set to MUTATION_RATE (the draw must be strictly below
+# it) none, and left as drawn about MUTATION_RATE of them.
+MASKS = {"every": 0.0, "none": MUTATION_RATE, "drawn": None}
+
+
+def masked(uniforms, mask):
+    """`uniforms` with row 0 of every genome's draws set to `mask` (if not None)."""
+    if mask is not None:
+        uniforms[..., 0, :] = mask
+    return uniforms
 
 
 def reference_mutate(genome, uniforms, per_gene_rate, eta):

@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import re
+import shutil
 import subprocess
 import sys
 
@@ -517,6 +518,16 @@ class TestCli:
         rows = (out / "runs" / "run_000" / "log.csv").read_text().strip().splitlines()
         assert int(rows[-1].split(",")[0]) == total
 
+    @pytest.mark.parametrize("evals, generations", [("50", 2), ("70", 4)])
+    def test_pf_generations_round_evals_over_lambda_half_to_even(self, tmp_path, evals, generations):
+        # 50/20 = 2.5 and 70/20 = 3.5: Python's round takes each to its even neighbour.
+        out = tmp_path / "pf"
+        argv = ["run", "--method", "pf", "--runs", "1", "--mu", "4", "--lambda", "20", "--evals", evals, "--out", str(out)]
+        assert main(argv) == 0
+        assert f"generations = {generations}\n" in (out / "config.txt").read_text()
+        rows = (out / "runs" / "run_000" / "log.csv").read_text().strip().splitlines()
+        assert int(rows[-1].split(",")[0]) == 4 + 20 * generations
+
     def test_report_compares_campaigns(self, tmp_path, capsys):
         for i, method in enumerate(("me-po", "pf")):
             main([
@@ -530,6 +541,20 @@ class TestCli:
         out = capsys.readouterr().out
         assert "Fisher" in out
         assert (tmp_path / "comparisons.csv").exists()
+
+    def test_report_rewrites_comparisons_when_a_campaign_is_gone(self, tmp_path, capsys):
+        # A report over one campaign leaves the header alone, not the rows of an earlier report.
+        for method in ("me-po", "pf"):
+            (tmp_path / method).mkdir()
+            logs = [RunLog(first_flights={}, best_fitness=1.5)]
+            write_summary(tiny_config(tmp_path / method, method=Method(method), runs=1), logs)
+        assert main(["report", "--in", str(tmp_path)]) == 0
+        assert (tmp_path / "comparisons.csv").read_text().splitlines()[1].startswith("me-po,pf,")
+        shutil.rmtree(tmp_path / "pf")
+        capsys.readouterr()
+        assert main(["report", "--in", str(tmp_path)]) == 0
+        assert "Fisher" not in capsys.readouterr().out
+        assert (tmp_path / "comparisons.csv").read_text() == "a,b,p_raw,p_bonferroni\n"
 
     def test_replay(self, tmp_path, capsys, fixtures_dir):
         decode_cfg = DecodeConfig(block_set=BlockSet.OBSERVER)

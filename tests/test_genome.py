@@ -24,9 +24,9 @@ from voxelflight import (
     random_genome,
 )
 
-from voxelflight.genome import shape_key
+from voxelflight.genome import MUTATION_ETA, MUTATION_RATE, shape_key
 
-from helpers import reference_decode, reference_mutate, unread_facings_north
+from helpers import MASKS, masked, reference_decode, reference_mutate, unread_facings_north
 
 CFG_ORIG = DecodeConfig(block_set=BlockSet.ORIGINAL)
 CFG_OBS = DecodeConfig(block_set=BlockSet.OBSERVER, emulate_observer_bug=False)
@@ -237,32 +237,32 @@ class TestRandomGenome:
 
 
 class TestPolynomialMutate:
-    def test_rate_zero_is_identity(self):
+    def test_no_mask_is_identity(self):
         rng = np.random.default_rng(7)
         g = random_genome(rng, 81)
-        out = polynomial_mutate(g, np.random.default_rng(8).random((2, len(g))), per_gene_rate=0.0)
+        out = polynomial_mutate(g, masked(np.random.default_rng(8).random((2, len(g))), MASKS["none"]))
         assert (out == g).all()
 
     def test_bounds_respected_at_edges(self):
         rng = np.random.default_rng(9)
         for value in (0.0, 1.0):
             g = np.full(300, value)
-            out = polynomial_mutate(g, rng.random((2, len(g))), per_gene_rate=1.0)
+            out = polynomial_mutate(g, masked(rng.random((2, len(g))), MASKS["every"]))
             assert ((out >= 0.0) & (out <= 1.0)).all()
 
     def test_untouched_genes_bit_identical(self):
         g = random_genome(np.random.default_rng(10), 81)
-        out = polynomial_mutate(g, np.random.default_rng(11).random((2, len(g))), per_gene_rate=0.3)
-        mask = np.random.default_rng(11).random(81) < 0.3  # row 0 of the uniforms: the mask draw
+        out = polynomial_mutate(g, np.random.default_rng(11).random((2, len(g))))
+        mask = np.random.default_rng(11).random(81) < MUTATION_RATE  # row 0 of the uniforms: the mask draw
         assert np.array_equal(out[~mask], g[~mask])
         assert (out[mask] != g[mask]).any()
 
     def test_monte_carlo_symmetry_around_half(self):
-        # 1e5 mutations of 0.5 with eta=20: mean stays near 0.5 and the
-        # above/below split passes a two-sided sign test (|z| < 4).
+        # 1e5 mutations of 0.5 at the distribution index 20: mean stays near
+        # 0.5 and the above/below split passes a two-sided sign test (|z| < 4).
         rng = np.random.default_rng(2024)
         g = np.full(100_000, 0.5)
-        out = polynomial_mutate(g, rng.random((2, len(g))), per_gene_rate=1.0, eta=20.0)
+        out = polynomial_mutate(g, masked(rng.random((2, len(g))), MASKS["every"]))
         moved = out[out != 0.5]
         assert abs(out.mean() - 0.5) < 0.005
         above = (moved > 0.5).sum()
@@ -275,36 +275,58 @@ class TestPolynomialMutateMatchesReference:
     """The whole-genome operator equals the masked reference bit for bit,
     and computing every gene's branch raises no floating-point warning."""
 
-    @pytest.mark.parametrize("rate", [0.0, 0.3, 1.0])
-    @pytest.mark.parametrize("eta", [20.0, 5.0])
+    @pytest.mark.parametrize("mask", MASKS.values(), ids=MASKS.keys())
     @pytest.mark.parametrize("fill", [None, 0.0, 0.5, 1.0], ids=["random", "0.0", "0.5", "1.0"])
-    def test_bit_identical(self, rate, eta, fill):
+    def test_bit_identical(self, mask, fill):
         rng = np.random.default_rng(31)
         with np.errstate(all="raise"):
             for seed in range(200):
                 g = random_genome(rng, 81) if fill is None else np.full(81, fill)
-                out = polynomial_mutate(g, np.random.default_rng(seed).random((2, len(g))), rate, eta)
-                assert np.array_equal(out, reference_mutate(g, np.random.default_rng(seed).random((2, len(g))), rate, eta))
+                uniforms = masked(np.random.default_rng(seed).random((2, len(g))), mask)
+                out = polynomial_mutate(g, uniforms)
+                assert np.array_equal(out, reference_mutate(g, uniforms, MUTATION_RATE, MUTATION_ETA))
+
+    # The ends of the draw range [0, 1) for row 1: the lowest draw sends
+    # every mutating gene to exactly 0, the highest moves every one below 1 up.
+    @pytest.mark.parametrize("r", [0.0, np.nextafter(1.0, 0.0)], ids=["lowest", "highest"])
+    @pytest.mark.parametrize("mask", MASKS.values(), ids=MASKS.keys())
+    @pytest.mark.parametrize("fill", [None, 0.0, 0.5, 1.0], ids=["random", "0.0", "0.5", "1.0"])
+    def test_bit_identical_at_draw_ends(self, r, mask, fill):
+        rng = np.random.default_rng(41)
+        with np.errstate(all="raise"):
+            for seed in range(200):
+                g = random_genome(rng, 81) if fill is None else np.full(81, fill)
+                uniforms = masked(np.random.default_rng(seed).random((2, len(g))), mask)
+                uniforms[1] = r
+                out = polynomial_mutate(g, uniforms)
+                assert np.array_equal(out, reference_mutate(g, uniforms, MUTATION_RATE, MUTATION_ETA))
+                assert ((out >= 0.0) & (out <= 1.0)).all()
+                moves = uniforms[0] < MUTATION_RATE
+                if r == 0.0:
+                    assert np.array_equal(out == 0.0, moves | (g == 0.0))
+                else:
+                    assert np.array_equal(out > g, moves & (g < 1.0))
 
 
-# Mutates random batches of 1-24 rows at three rates and checks every row
-# against the one-genome call and the masked reference; prints the numpy
-# CPU-dispatch state and the number of rows checked.
+# Mutates random batches of 1-24 rows under the three mask modes and checks
+# every row against the one-genome call and the masked reference; prints the
+# numpy CPU-dispatch state and the number of rows checked.
 BATCH_CHECK = """
 import numpy as np
 from numpy._core._multiarray_umath import __cpu_features__
 from voxelflight import polynomial_mutate
-from helpers import reference_mutate
+from voxelflight.genome import MUTATION_ETA, MUTATION_RATE
+from helpers import MASKS, masked, reference_mutate
 
 rng = np.random.default_rng(19)
 rows = 0
 for k in range(1, 25):
-    for rate in (0.0, 0.3, 1.0):
+    for mask in MASKS.values():
         genomes = rng.random((k, 81))
-        uniforms = rng.random((k, 2, 81))
-        for g, u, row in zip(genomes, uniforms, polynomial_mutate(genomes, uniforms, rate)):
-            assert np.array_equal(row, polynomial_mutate(g, u, rate))
-            assert np.array_equal(row, reference_mutate(g, u, rate, 20.0))
+        uniforms = masked(rng.random((k, 2, 81)), mask)
+        for g, u, row in zip(genomes, uniforms, polynomial_mutate(genomes, uniforms)):
+            assert np.array_equal(row, polynomial_mutate(g, u))
+            assert np.array_equal(row, reference_mutate(g, u, MUTATION_RATE, MUTATION_ETA))
             rows += 1
 print(__cpu_features__.get("X86_V4", False), rows)
 """
@@ -315,19 +337,19 @@ class TestBatchedMutate:
     a batch must equal the one-genome call on it, bit for bit."""
 
     @pytest.mark.parametrize("k", [1, 5, 10, 20])
-    @pytest.mark.parametrize("rate", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("mask", MASKS.values(), ids=MASKS.keys())
     @pytest.mark.parametrize("fill", [None, 0.0, 0.5, 1.0], ids=["random", "0.0", "0.5", "1.0"])
-    def test_rows_equal_single_calls(self, k, rate, fill):
+    def test_rows_equal_single_calls(self, k, mask, fill):
         rng = np.random.default_rng(37)
         with np.errstate(all="raise"):
             for _ in range(20):
                 genomes = rng.random((k, 81)) if fill is None else np.full((k, 81), fill)
-                uniforms = rng.random((k, 2, 81))
-                out = polynomial_mutate(genomes, uniforms, rate, 20.0)
+                uniforms = masked(rng.random((k, 2, 81)), mask)
+                out = polynomial_mutate(genomes, uniforms)
                 assert out.shape == genomes.shape
                 for g, u, row in zip(genomes, uniforms, out):
-                    assert np.array_equal(row, polynomial_mutate(g, u, rate, 20.0))
-                    assert np.array_equal(row, reference_mutate(g, u, rate, 20.0))
+                    assert np.array_equal(row, polynomial_mutate(g, u))
+                    assert np.array_equal(row, reference_mutate(g, u, MUTATION_RATE, MUTATION_ETA))
 
     def test_two_row_draw_is_two_draws(self):
         # The searches draw a child's uniforms as one (2, n) array where the

@@ -1,5 +1,3 @@
-import functools
-
 import numpy as np
 import pytest
 
@@ -21,7 +19,6 @@ from voxelflight import (
     evaluate,
     map_elites_run,
     mu_plus_lambda_run,
-    polynomial_mutate,
 )
 from voxelflight import search
 
@@ -171,9 +168,10 @@ class TestMuPlusLambda:
         assert all(b >= a for a, b in zip(bests, bests[1:]))
 
     def test_no_variation_children_are_tournament_winners(self, monkeypatch):
-        # crossover 0 and mutation 0: every child is an exact clone of an
-        # initial parent, so only the initial genomes ever exist.
-        monkeypatch.setattr(search, "polynomial_mutate", functools.partial(polynomial_mutate, per_gene_rate=0.0))
+        # crossover 0 and a mutation that returns its genomes unchanged: every
+        # child is an exact clone of an initial parent, so only the initial
+        # genomes ever exist.
+        monkeypatch.setattr(search, "polynomial_mutate", lambda genomes, uniforms: genomes)
         budget = tiny_budget(mu=4, lam=4, generations=2, crossover_prob=0.0)
         pop, _ = mu_plus_lambda_run(budget, DEC, TICK, FIT, seed=5)
         init_rng = np.random.default_rng(5)
